@@ -26,7 +26,8 @@ class UndefinedResultError(FlowplugError):
 
 
 class TrainingDivergedError(FlowplugError):
-    """Training hit a non-finite loss; message names the epoch and batch."""
+    """Training hit a non-finite loss or gradient; the message names the
+    epoch and batch, and for a gradient the first non-finite parameter."""
 
 
 class CheckpointError(FlowplugError):

@@ -1,11 +1,11 @@
 """Conditional invertible flow between style codes and disentangled latents.
 
 A stack of affine coupling layers with alternating even/odd coordinate
-masks. Each layer's scale/shift networks see the pass-through half
-concatenated with a one-hot encoding of the style code's layer index, so
-every layer index gets its own map while sharing parameters. Scales are
-soft-clamped, and final net layers start at zero, so an untrained model is
-exactly the identity with zero log-determinant.
+masks. Each layer's scale/shift networks see the pass-through half and a
+one-hot encoding of the style code's layer index (the last rows of their
+first-layer weights), so every layer index gets its own map while sharing
+parameters. Scales are soft-clamped, and final net layers start at zero, so
+an untrained model is exactly the identity with zero log-determinant.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
-from .numerics import Mlp, Tensor, init_mlp, no_grad
+from .numerics import Mlp, Tensor, init_mlp
 from .numerics import autodiff as ad
+from .numerics.mlp import ACTIVATION_ARRAYS
 from .prior import LatentPair, PriorConfig
 
 
@@ -85,9 +86,6 @@ class CouplingLayer:
         idx = np.arange(code_dim)
         self.pass_idx = idx[idx % 2 == mask_parity]
         self.trans_idx = idx[idx % 2 != mask_parity]
-        # output column j sits at position perm[j] of [pass_half ++ trans_half]
-        order = np.concatenate([self.pass_idx, self.trans_idx])
-        self.reassemble = np.argsort(order)
 
     def parameters(self) -> list[Tensor]:
         return self.scale_net.parameters() + self.shift_net.parameters()
@@ -133,101 +131,195 @@ def build_flow(prior: PriorConfig, num_codes: int, cfg: FlowConfig, seed: int) -
     return FlowModel(layers=layers, code_dim=n, num_codes=num_codes, prior=prior, flow_config=cfg)
 
 
-def _one_hot(layer_indices: np.ndarray, num_codes: int) -> np.ndarray:
-    layer_indices = np.asarray(layer_indices, dtype=np.int64)
-    if np.any(layer_indices < 0) or np.any(layer_indices >= num_codes):
-        raise DimensionError(f"layer index out of range [0, {num_codes})")
-    return np.eye(num_codes)[layer_indices]
+# --- the coupling core: plain arrays, one (s, t) routine for every path ---
 
 
-def coupling_forward_t(layer: CouplingLayer, x: Tensor, cond: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Graph-building batched coupling transform; returns (y, per-row logdet)."""
-    xp = ad.take_cols(x, layer.pass_idx)
-    xt = ad.take_cols(x, layer.trans_idx)
-    h = ad.concat_cols([xp, Tensor(cond)])
-    s_raw = layer.scale_net.forward(h)
-    t = layer.shift_net.forward(h)
-    s = layer.scale_clamp * ad.tanh(s_raw / layer.scale_clamp)
-    yt = xt * ad.exp(s) + t
-    y = ad.take_cols(ad.concat_cols([xp, yt]), layer.reassemble)
-    return y, ad.asum(s, axis=1)
+def _net_rest(net: Mlp, h: np.ndarray, kept: list | None) -> np.ndarray:
+    """Run ``net`` on from its first layer's pre-activation ``h``; with
+    ``kept``, append each hidden layer's (pre-activation, activation)."""
+    act = ACTIVATION_ARRAYS[net.activation][0]
+    for w, b in zip(net.weights[1:], net.biases[1:]):
+        z = act(h)
+        if kept is not None:
+            kept.append((h, z))
+        h = z @ w.data
+        h += b.data
+    return h
 
 
-def _coupling_inverse_np(layer: CouplingLayer, y: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact algebraic inverse; recomputes (s, t) from the untouched half."""
+def _net_rest_backward(net: Mlp, g: np.ndarray, kept: list) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Backward of ``_net_rest``: the gradient at the first layer's
+    pre-activation, and the gradients of layers 1.. in parameter order."""
+    act_backward = ACTIVATION_ARRAYS[net.activation][1]
+    grads: list[np.ndarray] = []
+    for (pre, z), w in zip(reversed(kept), reversed(net.weights[1:])):
+        grads[:0] = [z.T @ g, g.sum(axis=0)]
+        g = g @ w.data.T
+        act_backward(g, pre, z)
+    return g, grads
+
+
+def _scale_shift(layer: CouplingLayer, xp: np.ndarray, cond: np.ndarray, kept: dict | None = None):
+    """Soft-clamped log-scale ``s`` and shift ``t`` of one coupling, from the
+    pass-through rows ``xp`` and the condition rows ``cond``.
+
+    This one routine serves the graph forward, the inference forward and the
+    inverse. Both nets see the same input, so their first layers run as one
+    GEMM on weights stacked at call time: parameters change in place during
+    training, so nothing derived from them is cached. The condition enters
+    as ``cond @ W0[n_pass:]``. With ``kept``, stores what the hand-derived
+    backward needs.
+    """
+    n_pass = xp.shape[1]
+    nets = (layer.scale_net, layer.shift_net)
+    w0 = np.concatenate([net.weights[0].data for net in nets], axis=1)
+    a = xp @ w0[:n_pass]
+    a += cond @ w0[n_pass:]
+    a += np.concatenate([net.biases[0].data for net in nets])
+    width = layer.scale_net.weights[0].data.shape[1]
+    scale_kept, shift_kept = ([], []) if kept is not None else (None, None)
+    th = np.tanh(_net_rest(layer.scale_net, a[:, :width], scale_kept) / layer.scale_clamp)
+    t = _net_rest(layer.shift_net, a[:, width:], shift_kept)
+    if kept is not None:
+        kept.update(xp=xp, w0=w0, width=width, th=th, scale=scale_kept, shift=shift_kept)
+    return layer.scale_clamp * th, t
+
+
+def _forward_rows(layer: CouplingLayer, state: np.ndarray, cond: np.ndarray, kept: dict | None = None) -> np.ndarray:
+    """Coupling forward on packed rows ``[x | running logdet]``: returns
+    ``[y | logdet + sum(s)]`` with ``y_t = x_t * exp(s) + t``."""
+    s, t = _scale_shift(layer, state[:, layer.pass_idx], cond, kept)
+    e = np.exp(s)
+    xt_e = state[:, layer.trans_idx]
+    xt_e *= e
+    out = state.copy()
+    out[:, layer.trans_idx] = xt_e + t
+    out[:, -1] += np.sum(s, axis=1)
+    if kept is not None:
+        kept.update(e=e, xt_e=xt_e)
+    return out
+
+
+def _backward_rows(layer: CouplingLayer, g_out: np.ndarray, cond: np.ndarray, kept: dict, want_input: bool) -> tuple:
+    """Hand-derived backward of ``_forward_rows`` (RealNVP's triangular
+    Jacobian: the logdet is sum(s)). Returns the gradient of the input
+    rows (None unless ``want_input``), then one per ``layer.parameters()``."""
+    g_t = g_out[:, layer.trans_idx]
+    # d/ds of y_t is x_t * exp(s), and the logdet column adds 1 to every s
+    g_raw = g_t * kept["xt_e"]
+    g_raw += g_out[:, -1:]
+    th = kept["th"]
+    g_raw *= 1.0 - th * th  # d s / d s_raw of the soft clamp
+    g_scale, scale_grads = _net_rest_backward(layer.scale_net, g_raw, kept["scale"])
+    g_shift, shift_grads = _net_rest_backward(layer.shift_net, g_t, kept["shift"])
+    g_a = np.concatenate([g_scale, g_shift], axis=1)
+    g_w0 = np.concatenate([kept["xp"].T @ g_a, cond.T @ g_a])
+    g_b0 = np.sum(g_a, axis=0)
+    g_in = None
+    if want_input:
+        g_in = g_out.copy()
+        g_in[:, layer.trans_idx] = g_t * kept["e"]
+        g_in[:, layer.pass_idx] += g_a @ kept["w0"][: layer.pass_idx.size].T
+    width = kept["width"]
+    return (
+        g_in,
+        g_w0[:, :width], g_b0[:width], *scale_grads,
+        g_w0[:, width:], g_b0[width:], *shift_grads,
+    )  # fmt: skip
+
+
+def _inverse_rows(layer: CouplingLayer, y: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact algebraic inverse of one coupling; returns (x, s)."""
     yp = y[:, layer.pass_idx]
-    yt = y[:, layer.trans_idx]
-    h = np.concatenate([yp, cond], axis=1)
-    with no_grad():
-        s_raw = layer.scale_net.forward(Tensor(h)).data
-        t = layer.shift_net.forward(Tensor(h)).data
-    s = layer.scale_clamp * np.tanh(s_raw / layer.scale_clamp)
-    xt = (yt - t) * np.exp(-s)
-    x = np.empty_like(y)
-    x[:, layer.pass_idx] = yp
-    x[:, layer.trans_idx] = xt
-    return x, -np.sum(s, axis=1)
+    s, t = _scale_shift(layer, yp, cond)
+    x = y.copy()
+    x[:, layer.trans_idx] = (y[:, layer.trans_idx] - t) * np.exp(-s)
+    return x, s
+
+
+def _coupling_node(layer: CouplingLayer, state: Tensor, cond: np.ndarray) -> Tensor:
+    """One tape node for a whole coupling, on packed rows."""
+    if not ad.grad_enabled():
+        return Tensor(_forward_rows(layer, state.data, cond))
+    kept: dict = {}
+    out = _forward_rows(layer, state.data, cond, kept)
+    return ad.record(
+        out,
+        (state, *layer.parameters()),
+        lambda g: _backward_rows(layer, g, cond, kept, state.requires_grad),
+    )
+
+
+def _check_cond(layer: CouplingLayer, cond: np.ndarray) -> np.ndarray:
+    cond = np.asarray(cond, dtype=np.float64)
+    if cond.shape != (layer.scale_net.in_dim - layer.pass_idx.size,):
+        raise DimensionError("condition length does not match the coupling nets")
+    return cond[None, :]
 
 
 def coupling_forward(layer: CouplingLayer, x: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, float]:
     """Single-vector coupling transform: y and the logdet contribution."""
     x = np.asarray(x, dtype=np.float64)
-    cond = np.asarray(cond, dtype=np.float64)
     if x.shape != (layer.code_dim,):
         raise DimensionError(f"input has shape {x.shape}, expected ({layer.code_dim},)")
-    if cond.shape != (layer.scale_net.in_dim - layer.pass_idx.size,):
-        raise DimensionError("condition length does not match the coupling nets")
-    with no_grad():
-        y, logdet = coupling_forward_t(layer, Tensor(x[None, :]), cond[None, :])
-    if not np.all(np.isfinite(y.data)):
+    out = _forward_rows(layer, np.append(x, 0.0)[None, :], _check_cond(layer, cond))
+    if not np.all(np.isfinite(out)):
         raise NumericError("coupling_forward produced a non-finite output")
-    return y.data[0], float(logdet.data[0])
+    return out[0, :-1], float(out[0, -1])
 
 
 def coupling_inverse(layer: CouplingLayer, y: np.ndarray, cond: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
-    cond = np.asarray(cond, dtype=np.float64)
     if y.shape != (layer.code_dim,):
         raise DimensionError(f"input has shape {y.shape}, expected ({layer.code_dim},)")
-    x, _ = _coupling_inverse_np(layer, y[None, :], cond[None, :])
+    x, _ = _inverse_rows(layer, y[None, :], _check_cond(layer, cond))
     if not np.all(np.isfinite(x)):
         raise NumericError("coupling_inverse produced a non-finite output")
     return x[0]
 
 
 def to_latent_t(model: FlowModel, x: Tensor, cond: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Batched graph-building forward pass through all couplings."""
-    logdet: Tensor | None = None
+    """Batched graph-building forward pass: (latents, per-row logdet).
+
+    Each coupling records a single tape node; the running logdet rides
+    along as an extra last column of the rows passed between couplings.
+    """
+    n = model.code_dim
+    state = ad.concat_cols([x, Tensor(np.zeros((x.data.shape[0], 1)))])
     for layer in model.layers:
-        x, ld = coupling_forward_t(layer, x, cond)
-        logdet = ld if logdet is None else logdet + ld
-    return x, logdet
+        state = _coupling_node(layer, state, cond)
+    return ad.take_cols(state, np.arange(n)), ad.asum(ad.take_cols(state, np.array([n])), axis=1)
+
+
+def _batch_inputs(model: FlowModel, rows: np.ndarray, layer_indices: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Validated float rows and their one-hot condition rows."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != model.code_dim:
+        raise DimensionError(f"{what} have shape {rows.shape}, expected (*, {model.code_dim})")
+    layer_indices = np.asarray(layer_indices, dtype=np.int64)
+    if np.any(layer_indices < 0) or np.any(layer_indices >= model.num_codes):
+        raise DimensionError(f"layer index out of range [0, {model.num_codes})")
+    return rows, np.eye(model.num_codes)[layer_indices]
 
 
 def codes_to_latents(model: FlowModel, codes: np.ndarray, layer_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched style codes -> latent rows; returns (latents, per-row logdet)."""
-    codes = np.asarray(codes, dtype=np.float64)
-    if codes.ndim != 2 or codes.shape[1] != model.code_dim:
-        raise DimensionError(f"codes have shape {codes.shape}, expected (*, {model.code_dim})")
-    cond = _one_hot(layer_indices, model.num_codes)
-    with no_grad():
-        z, logdet = to_latent_t(model, Tensor(codes), cond)
-    if not (np.all(np.isfinite(z.data)) and np.all(np.isfinite(logdet.data))):
+    codes, cond = _batch_inputs(model, codes, layer_indices, "codes")
+    state = np.concatenate([codes, np.zeros((codes.shape[0], 1))], axis=1)
+    for layer in model.layers:
+        state = _forward_rows(layer, state, cond)
+    if not np.all(np.isfinite(state)):
         raise NumericError("flow forward produced a non-finite value")
-    return z.data, logdet.data
+    return state[:, :-1].copy(), state[:, -1].copy()
 
 
 def latents_to_codes(model: FlowModel, latents: np.ndarray, layer_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched inverse; returns (codes, per-row logdet of the inverse map)."""
-    latents = np.asarray(latents, dtype=np.float64)
-    if latents.ndim != 2 or latents.shape[1] != model.code_dim:
-        raise DimensionError(f"latents have shape {latents.shape}, expected (*, {model.code_dim})")
-    cond = _one_hot(layer_indices, model.num_codes)
-    x = latents
-    logdet = np.zeros(latents.shape[0])
+    x, cond = _batch_inputs(model, latents, layer_indices, "latents")
+    logdet = np.zeros(x.shape[0])
     for layer in reversed(model.layers):
-        x, ld = _coupling_inverse_np(layer, x, cond)
-        logdet += ld
+        x, s = _inverse_rows(layer, x, cond)
+        logdet -= np.sum(s, axis=1)
     if not np.all(np.isfinite(x)):
         raise NumericError("flow inverse produced a non-finite value")
     return x, logdet

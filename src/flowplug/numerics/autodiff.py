@@ -2,8 +2,9 @@
 
 A tiny tape: every ``Tensor`` produced by an operation keeps references to
 its parents and a closure that turns the output gradient into parent
-gradients. The op set covers exactly what the flow, prior, and losses need.
-All data is float64 numpy. Gradients are verified against central finite
+gradients. The op set covers what the losses and MLPs need; the flow records
+one hand-differentiated node per coupling through ``record``. All data is
+float64 numpy. Gradients are verified against central finite
 differences (see ``finite_diff_gradient``), which is the binding contract.
 """
 
@@ -15,7 +16,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from ..errors import DimensionError, NumericError
+from ..errors import ConfigError, DimensionError, NumericError
 
 
 class _GradMode(threading.local):
@@ -108,7 +109,16 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
+def grad_enabled() -> bool:
+    """Whether operations record tape nodes in this thread."""
+    return _grad_mode.enabled
+
+
+def record(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
+    """The tape node behind every operation: ``grad_fn(g)`` returns one
+    gradient (or None) per parent. Records nothing under ``no_grad`` or when
+    no parent requires a gradient. Hand-differentiated operations, such as
+    the flow's fused coupling, call it directly."""
     if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out = Tensor(data, requires_grad=True)
         out._parents = parents
@@ -134,25 +144,25 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
-    return _node(a.data + b.data, (a, b), grad_fn)
+    return record(a.data + b.data, (a, b), grad_fn)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
 
-    return _node(a.data - b.data, (a, b), grad_fn)
+    return record(a.data - b.data, (a, b), grad_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
 
-    return _node(a.data * b.data, (a, b), grad_fn)
+    return record(a.data * b.data, (a, b), grad_fn)
 
 
 def neg(a: Tensor) -> Tensor:
-    return _node(-a.data, (a,), lambda g: (-g,))
+    return record(-a.data, (a,), lambda g: (-g,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -164,7 +174,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         return g @ b.data.T, a.data.T @ g
 
-    return _node(a.data @ b.data, (a, b), grad_fn)
+    return record(a.data @ b.data, (a, b), grad_fn)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -173,14 +183,14 @@ def exp(a: Tensor) -> Tensor:
     def grad_fn(g):
         return (g * out,)
 
-    return _node(out, (a,), grad_fn)
+    return record(out, (a,), grad_fn)
 
 
 def log(a: Tensor) -> Tensor:
     def grad_fn(g):
         return (g / a.data,)
 
-    return _node(np.log(a.data), (a,), grad_fn)
+    return record(np.log(a.data), (a,), grad_fn)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -189,14 +199,34 @@ def tanh(a: Tensor) -> Tensor:
     def grad_fn(g):
         return (g * (1.0 - out * out),)
 
-    return _node(out, (a,), grad_fn)
+    return record(out, (a,), grad_fn)
+
+
+def leaky_relu_array(a: np.ndarray, slope: float) -> np.ndarray:
+    """``max(slope * a, a)``: for ``0 <= slope <= 1`` this equals
+    ``where(a > 0, a, slope * a)`` bit for bit, signed zeros included (NaN
+    stays NaN), without a select on a data-dependent mask."""
+    if not 0.0 <= slope <= 1.0:
+        raise ConfigError(f"leaky_relu slope must lie in [0, 1], got {slope}")
+    out = a * slope
+    np.maximum(out, a, out=out)
+    return out
+
+
+def leaky_relu_derivative(a: np.ndarray, slope: float) -> np.ndarray:
+    """1 where ``a > 0``, else ``slope`` (so 0.0 and -0.0 get ``slope``)."""
+    d = (a > 0.0).astype(np.float64)
+    np.maximum(d, slope, out=d)
+    return d
 
 
 def leaky_relu(a: Tensor, slope: float) -> Tensor:
     def grad_fn(g):
-        return (g * np.where(a.data > 0.0, 1.0, slope),)
+        d = leaky_relu_derivative(a.data, slope)
+        d *= g
+        return (d,)
 
-    return _node(np.where(a.data > 0.0, a.data, slope * a.data), (a,), grad_fn)
+    return record(leaky_relu_array(a.data, slope), (a,), grad_fn)
 
 
 def asum(a: Tensor, axis: int | None = None) -> Tensor:
@@ -207,7 +237,7 @@ def asum(a: Tensor, axis: int | None = None) -> Tensor:
             return (np.broadcast_to(g, shape),)
         return (np.broadcast_to(np.expand_dims(g, axis), shape),)
 
-    return _node(np.sum(a.data, axis=axis), (a,), grad_fn)
+    return record(np.sum(a.data, axis=axis), (a,), grad_fn)
 
 
 def take_cols(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -220,7 +250,7 @@ def take_cols(a: Tensor, idx: np.ndarray) -> Tensor:
         buf[:, idx] = g
         return (buf,)
 
-    return _node(a.data[:, idx], (a,), grad_fn)
+    return record(a.data[:, idx], (a,), grad_fn)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -232,7 +262,7 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     def grad_fn(g):
         return tuple(np.split(g, offsets, axis=1))
 
-    return _node(np.concatenate([p.data for p in parts], axis=1), tuple(parts), grad_fn)
+    return record(np.concatenate([p.data for p in parts], axis=1), tuple(parts), grad_fn)
 
 
 def backward(output: Tensor) -> None:

@@ -17,6 +17,16 @@ _ACTIVATIONS = {
     "tanh": ad.tanh,
 }
 
+# the same activations on plain arrays, for hand-differentiated callers:
+# (forward(pre) -> post, backward(g, pre, post) scaling ``g`` in place)
+ACTIVATION_ARRAYS = {
+    "leaky_relu": (
+        lambda a: ad.leaky_relu_array(a, LEAKY_SLOPE),
+        lambda g, pre, post: np.multiply(g, ad.leaky_relu_derivative(pre, LEAKY_SLOPE), out=g),
+    ),
+    "tanh": (np.tanh, lambda g, pre, post: np.multiply(g, 1.0 - post * post, out=g)),
+}
+
 
 @dataclass
 class Mlp:
@@ -111,4 +121,4 @@ def init_mlp(
     return Mlp(weights=weights, biases=biases, activation=activation)
 
 
-__all__ = ["Mlp", "mlp_apply", "init_mlp", "LEAKY_SLOPE"]
+__all__ = ["ACTIVATION_ARRAYS", "Mlp", "mlp_apply", "init_mlp", "LEAKY_SLOPE"]

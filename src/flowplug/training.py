@@ -23,7 +23,7 @@ from .flow import CouplingLayer, FlowConfig, FlowModel, StyleStack, build_flow
 from .losses import LossConfig, batch_loss_graph
 from .numerics import AdamConfig, AdamOptimizer, Mlp, backward, no_grad, parameter
 from .prior import PriorConfig
-from .synthetic import SyntheticDataset, dataset_fingerprint
+from .synthetic import SyntheticDataset, _derive_seeds, dataset_fingerprint
 
 log = logging.getLogger(__name__)
 
@@ -87,11 +87,6 @@ def make_batches(
     return [groups[i : i + cfg.batch_groups] for i in range(0, len(groups), cfg.batch_groups)]
 
 
-def _derive_seeds(seed: int) -> tuple[int, int]:
-    state = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
-    return int(state[0]), int(state[1])
-
-
 def dataset_mean_loss(model: FlowModel, ds: SyntheticDataset, cfg: TrainConfig) -> TraceRow:
     """Mean loss over the whole dataset with no parameter updates; grouping
     follows natural frame order, so the value is seed-independent."""
@@ -111,6 +106,17 @@ def dataset_mean_loss(model: FlowModel, ds: SyntheticDataset, cfg: TrainConfig) 
             sums += num_stacks * np.array([nll.item(), contrast.item(), total.item()])
             count += num_stacks
     return TraceRow(-1, float(sums[0] / count), float(sums[1] / count), float(sums[2] / count))
+
+
+def _first_non_finite_grad(model: FlowModel) -> str:
+    """Name of the first parameter whose gradient has a NaN or infinity."""
+    for i, layer in enumerate(model.layers):
+        for net_name, net in (("scale", layer.scale_net), ("shift", layer.shift_net)):
+            for j, (w, b) in enumerate(zip(net.weights, net.biases)):
+                for kind, p in (("weight", w), ("bias", b)):
+                    if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                        return f"coupling {i} {net_name} net layer {j} {kind}"
+    return "no parameter gradient"
 
 
 def train(ds: SyntheticDataset, cfg: TrainConfig) -> tuple[Checkpoint, list[TraceRow]]:
@@ -145,8 +151,13 @@ def train(ds: SyntheticDataset, cfg: TrainConfig) -> tuple[Checkpoint, list[Trac
             num_stacks = sum(len(g) for g in batch)
             sums += num_stacks * np.array([nll.item(), contrast.item(), total.item()])
             count += num_stacks
-            backward(total)
-            opt.step()
+            try:
+                backward(total)
+                opt.step()
+            except NumericError as exc:
+                raise TrainingDivergedError(
+                    f"non-finite gradient at epoch {epoch}, batch {bi}, first in {_first_non_finite_grad(model)}: {exc}"
+                ) from exc
         row = TraceRow(epoch, float(sums[0] / count), float(sums[1] / count), float(sums[2] / count))
         trace.append(row)
         if cfg.eval_every > 0 and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1):
@@ -257,11 +268,12 @@ def load_checkpoint(path) -> Checkpoint:
         )
         for layer in model.layers:
             expected_in = layer.pass_idx.size + num_codes
-            if layer.scale_net.in_dim != expected_in or layer.scale_net.out_dim != layer.trans_idx.size:
-                raise CheckpointShapeError(
-                    f"coupling nets sized {layer.scale_net.in_dim}->{layer.scale_net.out_dim}, "
-                    f"expected {expected_in}->{layer.trans_idx.size}"
-                )
+            for net in (layer.scale_net, layer.shift_net):
+                if net.in_dim != expected_in or net.out_dim != layer.trans_idx.size:
+                    raise CheckpointShapeError(
+                        f"coupling nets sized {net.in_dim}->{net.out_dim}, "
+                        f"expected {expected_in}->{layer.trans_idx.size}"
+                    )
         return Checkpoint(
             model=model,
             train_config=train_cfg,

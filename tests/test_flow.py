@@ -1,9 +1,12 @@
 """Coupling-layer and whole-flow contracts: identity initialization,
 exact invertibility, and the change-of-variables log-determinant."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from flowplug import flow
 from flowplug.errors import ConfigError, DimensionError
 from flowplug.flow import (
     CouplingLayer,
@@ -16,9 +19,11 @@ from flowplug.flow import (
     coupling_inverse,
     latents_to_codes,
     to_latent,
+    to_latent_t,
     to_style,
 )
-from flowplug.numerics import Mlp, parameter
+from flowplug.numerics import AdamOptimizer, Mlp, Tensor, finite_diff_gradient, gradient, no_grad, parameter
+from flowplug.numerics import autodiff as ad
 from flowplug.prior import PriorConfig
 
 
@@ -193,3 +198,103 @@ class TestInvariants:
     def test_stack_shape_validation(self):
         with pytest.raises(DimensionError):
             StyleStack(codes=np.zeros(6), labels=np.zeros(2), identity_id=0, frame_id=0)
+
+
+class TestFusedCoupling:
+    """The hand-differentiated coupling node against its oracles."""
+
+    @staticmethod
+    def saturated_model(seed=0):
+        # odd latent_dim: parity-0 couplings pass 4 coordinates and transform
+        # 3, parity-1 couplings the reverse; a small clamp and a scaled-up
+        # final scale layer push most of s into the saturated part of the clamp
+        prior = PriorConfig(num_attrs=2, latent_dim=7, sigma=0.5)
+        model = build_flow(prior, 3, FlowConfig(num_couplings=3, hidden_width=8, scale_clamp=0.5), seed)
+        rng = np.random.default_rng(seed + 1)
+        for p in model.parameters():
+            p.data = p.data + 0.4 * rng.normal(size=p.data.shape)
+        for layer in model.layers:
+            for p in (layer.scale_net.weights[-1], layer.scale_net.biases[-1]):
+                p.data = 3.0 * p.data
+        return model
+
+    @staticmethod
+    def rows(num, seed=4):
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(0, 3, size=num)
+        return rng.normal(size=(num, 7)), idx, np.eye(3)[idx]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradient_matches_finite_differences(self, seed):
+        model = self.saturated_model(seed)
+        x0, _, cond = self.rows(6)
+        layer = model.layers[0]
+        s, _ = flow._scale_shift(layer, x0[:, layer.pass_idx], cond)
+        assert np.mean(np.abs(s) > 0.9 * layer.scale_clamp) >= 0.5
+        x = parameter(x0)
+        rng = np.random.default_rng(5)
+        wz = Tensor(rng.normal(size=(6, 7)))
+        wl = Tensor(rng.normal(size=6))
+        params = [x] + model.parameters()
+
+        def loss(_):
+            z, logdet = to_latent_t(model, x, cond)
+            return ad.asum(z * z * wz) * 0.1 + ad.asum(logdet * wl)
+
+        g = gradient(loss, params)
+        fd = finite_diff_gradient(loss, params, step=1e-5)
+        err = np.abs(g - fd) / np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-4)
+        assert err.max() <= 1e-4
+
+    def test_one_tape_node_per_coupling(self):
+        model = small_model(perturb=0.3)
+        x, _, cond = self.rows(5, seed=6)
+        z, _ = to_latent_t(model, Tensor(x[:, :6]), cond)
+        coupling_nodes = 0
+        node = z._parents[0]
+        while node._parents:
+            coupling_nodes += 1
+            node = node._parents[0]
+        assert coupling_nodes == len(model.layers)
+
+    def test_graph_forward_equals_inference_forward_exactly(self):
+        model = self.saturated_model()
+        x, idx, cond = self.rows(50)
+        z, logdet = codes_to_latents(model, x, idx)
+        zt, ldt = to_latent_t(model, Tensor(x), cond)
+        assert np.array_equal(zt.data, z) and np.array_equal(ldt.data, logdet)
+        with no_grad():
+            zn, ldn = to_latent_t(model, Tensor(x), cond)
+        assert np.array_equal(zn.data, z) and np.array_equal(ldn.data, logdet)
+
+    def test_inverse_round_trip_within_1e_12(self):
+        model = self.saturated_model()
+        x, idx, _ = self.rows(200)
+        z, _ = codes_to_latents(model, x, idx)
+        back, _ = latents_to_codes(model, z, idx)
+        assert np.abs(back - x).max() / np.abs(x).max() <= 1e-12
+
+    def test_in_place_parameter_updates_are_seen(self):
+        """Stacked first-layer weights are derived per call, never cached:
+        in-place changes (Adam's, or finite differences') take effect."""
+        model = small_model(perturb=0.3)
+        x, idx, cond = self.rows(20, seed=7)
+        x = x[:, :6]
+        before, _ = codes_to_latents(model, x, idx)
+        model.layers[0].shift_net.weights[0].data[-1, :] += 0.5  # a condition row
+        model.layers[1].scale_net.biases[0].data[:] -= 0.5
+        after, _ = codes_to_latents(model, x, idx)
+        fresh, _ = codes_to_latents(copy.deepcopy(model), x, idx)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, fresh)
+
+        opt = AdamOptimizer(model.parameters())
+        params_before = [p.data for p in model.parameters()]
+        opt.zero_grad()
+        z, logdet = to_latent_t(model, Tensor(x), cond)
+        ad.backward(ad.asum(z * z) + ad.asum(logdet))
+        opt.step()
+        assert all(p.data is a for p, a in zip(model.parameters(), params_before))
+        stepped, _ = codes_to_latents(model, x, idx)
+        assert not np.array_equal(stepped, after)
+        assert np.array_equal(stepped, codes_to_latents(copy.deepcopy(model), x, idx)[0])

@@ -4,9 +4,10 @@ finite differences, the one binding oracle."""
 import numpy as np
 import pytest
 
-from flowplug.errors import DimensionError, NumericError
+from flowplug.errors import ConfigError, DimensionError, NumericError
 from flowplug.numerics import (
     AdamConfig,
+    AdamOptimizer,
     AdamState,
     Mlp,
     Tensor,
@@ -119,6 +120,25 @@ class TestGradient:
         fd = finite_diff_gradient(f, [a])
         assert rel_err(g, fd).max() <= 1e-4
 
+    def test_leaky_relu_matches_the_where_formula(self):
+        rng = np.random.default_rng(8)
+        a0 = np.concatenate([rng.normal(size=40), [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324]])
+        g0 = rng.normal(size=a0.size)
+        g0[:2] = [-0.0, 0.0]
+        for slope in (0.01, 0.0, 1.0):
+            a = parameter(a0)
+            out = ad.leaky_relu(a, slope)
+            ad.backward(ad.asum(out * Tensor(g0)))
+            want = np.where(a0 > 0.0, a0, slope * a0)
+            want_grad = g0 * np.where(a0 > 0.0, 1.0, slope)
+            for got, ref in ((out.data, want), (a.grad, want_grad)):
+                assert np.array_equal(got, ref)
+                assert np.array_equal(np.signbit(got), np.signbit(ref))
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(ad.leaky_relu(parameter(np.array([np.nan])), 0.01).data[0])
+        with pytest.raises(ConfigError):
+            ad.leaky_relu(parameter(a0), 1.5)
+
     def test_backward_requires_scalar(self):
         p = parameter(np.zeros((2, 2)))
         with pytest.raises(DimensionError):
@@ -164,3 +184,43 @@ class TestAdam:
         params = [np.array([1.0])]
         with pytest.raises(DimensionError):
             adam_step(params, [np.zeros(1), np.zeros(1)], AdamState.init(params), AdamConfig())
+
+    def test_optimizer_is_bit_identical_to_adam_step(self):
+        rng = np.random.default_rng(9)
+        cfg = AdamConfig(lr=0.01)
+        params = [parameter(rng.normal(size=(3, 4))), parameter(rng.normal(size=5))]
+        arrays = [p.data.copy() for p in params]
+        opt = AdamOptimizer(params, cfg)
+        buffers = [p.data for p in params]
+        state = AdamState.init(arrays)
+        ref_p = [a.copy() for a in arrays]
+        ref_m = [np.zeros_like(a) for a in arrays]
+        ref_v = [np.zeros_like(a) for a in arrays]
+        for t in range(1, 4):
+            grads = [rng.normal(size=a.shape) for a in arrays]
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            arrays, state = adam_step(arrays, grads, state, cfg)
+            # the textbook expressions, evaluated out of place
+            c1, c2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+            for i, g in enumerate(grads):
+                ref_m[i] = cfg.beta1 * ref_m[i] + (1.0 - cfg.beta1) * g
+                ref_v[i] = cfg.beta2 * ref_v[i] + (1.0 - cfg.beta2) * g * g
+                ref_p[i] = ref_p[i] - cfg.lr * (ref_m[i] / c1) / (np.sqrt(ref_v[i] / c2) + cfg.eps)
+            for p, a, ref, buf in zip(params, arrays, ref_p, buffers):
+                assert p.data is buf  # updated in place
+                assert np.array_equal(p.data, a) and np.array_equal(a, ref)
+            for ours, functional, ref in zip(opt.state.m + opt.state.v, state.m + state.v, ref_m + ref_v):
+                assert np.array_equal(ours, functional) and np.array_equal(functional, ref)
+        assert opt.state.step == state.step == 3
+
+    def test_optimizer_rejects_non_finite_gradient_before_any_update(self):
+        params = [parameter(np.array([1.0, 2.0])), parameter(np.array([3.0]))]
+        opt = AdamOptimizer(params)
+        params[0].grad = np.array([0.5, 0.5])
+        params[1].grad = np.array([np.nan])
+        with pytest.raises(NumericError):
+            opt.step()
+        assert np.array_equal(params[0].data, [1.0, 2.0])
+        assert opt.state.step == 0 and not np.any(opt.state.m[0])

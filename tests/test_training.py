@@ -2,6 +2,7 @@
 versioned checkpoint format."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from flowplug.errors import (
     CheckpointVersionError,
     ConfigError,
     CorruptCheckpointError,
+    TrainingDivergedError,
 )
 from flowplug.flow import FlowConfig
 from flowplug.losses import LossConfig
@@ -89,7 +91,7 @@ class TestTrain:
         cfg = small_train_config(lr=0.0, epochs=3)
         ckpt, trace = train(ds, cfg)
         from flowplug.flow import build_flow
-        from flowplug.training import _derive_seeds
+        from flowplug.synthetic import _derive_seeds
 
         model_seed, _ = _derive_seeds(cfg.seed)
         fresh = build_flow(cfg.loss.prior, ds.config.num_codes, cfg.flow, model_seed)
@@ -97,6 +99,27 @@ class TestTrain:
             assert np.array_equal(a.data, b.data)
         totals = [row.total for row in trace]
         assert np.allclose(totals, totals[0], rtol=1e-12)
+
+    def test_non_finite_gradient_is_located(self, monkeypatch):
+        import flowplug.training as training
+
+        models = []
+        real_build, real_backward = training.build_flow, training.backward
+
+        def build(*args):
+            models.append(real_build(*args))
+            return models[-1]
+
+        def poisoned_backward(total):
+            real_backward(total)
+            p = models[0].layers[1].shift_net.weights[1]
+            p.grad = np.full_like(p.grad, np.nan)
+
+        monkeypatch.setattr(training, "build_flow", build)
+        monkeypatch.setattr(training, "backward", poisoned_backward)
+        ds = generate_dataset(SMALL_DS, seed=6)
+        with pytest.raises(TrainingDivergedError, match="epoch 0, batch 0, first in coupling 1 shift net layer 1 weight"):
+            train(ds, small_train_config(epochs=1))
 
     def test_loss_decreases(self):
         ds = generate_dataset(SMALL_DS, seed=6)
@@ -163,6 +186,21 @@ class TestCheckpoint:
         assert loaded.final_loss == ckpt.final_loss
         assert loaded.dataset_fingerprint == ckpt.dataset_fingerprint
 
+    def test_checkpoint_written_by_an_earlier_version_gives_its_latents(self):
+        """tests/data holds a small trained v1 checkpoint and the latents the
+        code that wrote it computed, before the coupling nets were fused."""
+        from flowplug.flow import codes_to_latents, latents_to_codes
+
+        data = Path(__file__).parent / "data"
+        model = load_checkpoint(data / "checkpoint_v1_small.json").model
+        ref = json.loads((data / "checkpoint_v1_small_latents.json").read_text())
+        codes = np.array(ref["codes"])
+        z, logdet = codes_to_latents(model, codes, ref["layer_indices"])
+        assert np.abs(z - np.array(ref["latents"])).max() <= 1e-12
+        assert np.abs(logdet - np.array(ref["logdet"])).max() <= 1e-12
+        back, _ = latents_to_codes(model, np.array(ref["latents"]), ref["layer_indices"])
+        assert np.abs(back - codes).max() <= 1e-12
+
     def test_truncated_file_is_corrupt(self, tmp_path):
         ckpt = self.make_checkpoint()
         path = tmp_path / "ckpt.json"
@@ -185,6 +223,18 @@ class TestCheckpoint:
         save_checkpoint(ckpt, path)
         payload = json.loads(path.read_text())
         payload["layers"][0]["scale_net"]["layers"][0]["shape"][0] += 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointShapeError):
+            load_checkpoint(path)
+
+    def test_shift_net_input_width_mismatch(self, tmp_path):
+        ckpt = self.make_checkpoint()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        payload = json.loads(path.read_text())
+        first = payload["layers"][0]["shift_net"]["layers"][0]
+        first["weight"].pop()
+        first["shape"][0] -= 1
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointShapeError):
             load_checkpoint(path)
