@@ -8,7 +8,7 @@ loss. Includes a synthetic invertible backbone with ground-truth factors,
 an editing pipeline, and quantitative disentanglement evaluation.
 """
 
-from .editing import EditRequest, EditResult, edit_attribute, interpolate_attribute, minimal_edit
+from .editing import EditRequest, EditResult, edit_attribute, interpolate_attribute, minimal_edit_batch
 from .evaluation import (
     EvalConfig,
     EvalReport,
@@ -26,16 +26,13 @@ from .flow import (
     CouplingLayer,
     FlowConfig,
     FlowModel,
-    StyleCode,
     StyleStack,
     build_flow,
-    coupling_forward,
-    coupling_inverse,
-    to_latent,
-    to_style,
+    codes_to_latents,
+    latents_to_codes,
 )
-from .losses import LossConfig, contrastive_loss, nll_loss, total_loss
-from .prior import LabelStats, LatentPair, PriorConfig, label_to_mean, log_prior, sample_latent
+from .losses import LossConfig, batch_loss_graph, contrastive_loss
+from .prior import LabelStats, LatentPair, PriorConfig, label_to_mean, log_prior
 from .synthetic import (
     GroundTruthFactors,
     MockBackbone,
@@ -58,7 +55,7 @@ __all__ = [
     "EditResult",
     "edit_attribute",
     "interpolate_attribute",
-    "minimal_edit",
+    "minimal_edit_batch",
     "EvalConfig",
     "EvalReport",
     "ProbeConfig",
@@ -73,23 +70,18 @@ __all__ = [
     "CouplingLayer",
     "FlowConfig",
     "FlowModel",
-    "StyleCode",
     "StyleStack",
     "build_flow",
-    "coupling_forward",
-    "coupling_inverse",
-    "to_latent",
-    "to_style",
+    "codes_to_latents",
+    "latents_to_codes",
     "LossConfig",
+    "batch_loss_graph",
     "contrastive_loss",
-    "nll_loss",
-    "total_loss",
     "LabelStats",
     "LatentPair",
     "PriorConfig",
     "label_to_mean",
     "log_prior",
-    "sample_latent",
     "GroundTruthFactors",
     "MockBackbone",
     "SyntheticConfig",

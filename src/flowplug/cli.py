@@ -160,20 +160,24 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_edit(args) -> int:
-    cfg = _load_config_file(args.config, args.seed)
-    spec = cfg.edit
-    if args.attr is not None:
-        spec = dataclass_from_dict(EditSpec, {**dataclass_to_jsonable(spec), "attr_index": args.attr}, "edit")
-    if args.target is not None:
-        spec = dataclass_from_dict(EditSpec, {**dataclass_to_jsonable(spec), "target": args.target}, "edit")
-    if args.mode is not None:
-        spec = dataclass_from_dict(EditSpec, {**dataclass_to_jsonable(spec), "mode": args.mode}, "edit")
-    out = _ensure_out(args.out)
+def _load_checkpoint_and_dataset(args):
+    """The checkpoint, the dataset and its fingerprint; warns when the
+    checkpoint was trained on other data."""
     ckpt = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.dataset)
-    if ckpt.dataset_fingerprint != dataset_fingerprint(ds):
+    fingerprint = dataset_fingerprint(ds)
+    if ckpt.dataset_fingerprint != fingerprint:
         log.warning("checkpoint was trained on a different dataset (fingerprint mismatch)")
+    return ckpt, ds, fingerprint
+
+
+def _cmd_edit(args) -> int:
+    cfg = _load_config_file(args.config, args.seed)
+    flags = {"attr_index": args.attr, "target": args.target, "mode": args.mode}
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    spec = dataclass_from_dict(EditSpec, {**dataclass_to_jsonable(cfg.edit), **overrides}, "edit")
+    out = _ensure_out(args.out)
+    ckpt, ds, fingerprint = _load_checkpoint_and_dataset(args)
     stacks = ds.stacks if args.limit is None else ds.stacks[: args.limit]
 
     meta: list[dict] = []
@@ -195,7 +199,7 @@ def _cmd_edit(args) -> int:
     with open(edit_path, "w", encoding="utf-8") as fh:
         header = {
             "format_version": EDIT_FORMAT,
-            "source_fingerprint": dataset_fingerprint(ds),
+            "source_fingerprint": fingerprint,
             "edit": dataclass_to_jsonable(spec),
         }
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
@@ -216,13 +220,10 @@ def _cmd_edit(args) -> int:
 def _cmd_evaluate(args) -> int:
     cfg = _load_config_file(args.config, args.seed)
     out = _ensure_out(args.out)
-    ckpt = load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.dataset)
-    if ckpt.dataset_fingerprint != dataset_fingerprint(ds):
-        log.warning("checkpoint was trained on a different dataset (fingerprint mismatch)")
+    ckpt, ds, fingerprint = _load_checkpoint_and_dataset(args)
     report, probe = evaluate_dataset(ds, ckpt.model, cfg.eval)
     save_report(report, out)
-    _write_snapshot(out, cfg, "evaluate", {"dataset_fingerprint": dataset_fingerprint(ds)})
+    _write_snapshot(out, cfg, "evaluate", {"dataset_fingerprint": fingerprint})
     mod = float(np.mean(report.accuracy.modification)) if report.accuracy.attrs else float("nan")
     ret = float(np.nanmean(report.accuracy.retention)) if report.accuracy.attrs else float("nan")
     print(

@@ -59,7 +59,7 @@ def edit_attribute(model: FlowModel, stack: StyleStack, req: EditRequest) -> Sty
     """Set one attribute coordinate to an absolute target at every layer;
     all other latent coordinates are left bit-identical before inversion."""
     if req.mode != "absolute":
-        raise ConfigError("edit_attribute handles absolute targets; use minimal_edit for step-search")
+        raise ConfigError("edit_attribute handles absolute targets; use minimal_edit_batch for step-search")
     _check_attr(model, req.attr_index)
     z = stack_latents(model, stack)
     z[:, req.attr_index] = req.target
@@ -94,8 +94,9 @@ def minimal_edit_batch(
 ) -> list[EditResult]:
     """Walk each stack's attribute coordinate in shared increments of
     direction*delta (applied at every layer) until the probe's confidence
-    for the target class reaches tau. Stacks converge independently; the
-    sweep matches per-stack minimal_edit up to batched-BLAS rounding."""
+    for the target class reaches tau. Stacks converge independently: each
+    gets the steps it would get in a batch of its own, and codes equal to
+    that batch's up to batched-BLAS rounding."""
     _check_attr(model, attr_index)
     if direction not in (1, -1):
         raise ConfigError("direction must be +1 or -1")
@@ -135,16 +136,3 @@ def minimal_edit_batch(
         if pending.size == 0:
             break
     return results  # type: ignore[return-value]
-
-
-def minimal_edit(
-    model: FlowModel,
-    stack: StyleStack,
-    attr_index: int,
-    direction: int,
-    probe,
-    tau: float = 0.8,
-    delta: float = 0.25,
-    max_steps: int = 40,
-) -> EditResult:
-    return minimal_edit_batch(model, [stack], attr_index, direction, probe, tau, delta, max_steps)[0]

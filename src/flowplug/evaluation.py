@@ -325,15 +325,10 @@ def _binary_attrs(kinds: tuple[str, ...]) -> list[int]:
 
 
 def accuracy_protocol(
-    model: FlowModel,
-    probe: ProbeModel,
-    stacks: list[StyleStack],
-    tau: float = 0.8,
-    delta: float = 0.25,
-    max_steps: int = 40,
-    sweeps: dict[tuple[int, int], EditSweep] | None = None,
+    probe: ProbeModel, stacks: list[StyleStack], sweeps: dict[tuple[int, int], EditSweep]
 ) -> AccuracyTables:
-    """Retention/modification accuracy over probe-gated minimal edits.
+    """Retention/modification accuracy over probe-gated minimal edits, from
+    one ``edit_sweep`` of ``stacks`` per (binary attribute, direction).
 
     For each binary attribute and both target classes, every stack whose
     probe decision differs is edited; non-converged searches count as
@@ -351,9 +346,7 @@ def accuracy_protocol(
     label_sign = np.where(labels > 0, 1.0, -1.0)
     for ai, a in enumerate(attrs):
         for direction in (1, -1):
-            sweep = (sweeps or {}).get((a, direction)) or edit_sweep(
-                model, probe, stacks, a, direction, tau, delta, max_steps
-            )
+            sweep = sweeps[(a, direction)]
             conv = np.array([r.converged for r in sweep.results])
             needs = sweep.pre_decisions[:, a] != direction
             mod_den[ai] += needs.sum()
@@ -380,15 +373,7 @@ def accuracy_protocol(
     )
 
 
-def rank_protocol(
-    model: FlowModel,
-    probe: ProbeModel,
-    stacks: list[StyleStack],
-    tau: float = 0.8,
-    delta: float = 0.25,
-    max_steps: int = 40,
-    sweeps: dict[tuple[int, int], EditSweep] | None = None,
-) -> RankTables:
+def rank_protocol(probe: ProbeModel, sweeps: dict[tuple[int, int], EditSweep]) -> RankTables:
     """Spearman rho between probe-score rankings before and after each
     edit, per (edited attribute, observed attribute); directions averaged.
 
@@ -401,9 +386,7 @@ def rank_protocol(
     for ai, a in enumerate(attrs):
         per_dir = []
         for direction in (1, -1):
-            sweep = (sweeps or {}).get((a, direction)) or edit_sweep(
-                model, probe, stacks, a, direction, tau, delta, max_steps
-            )
+            sweep = sweeps[(a, direction)]
             row = np.full(num_attrs, np.nan)
             for b in range(num_attrs):
                 if b == a:
@@ -463,8 +446,8 @@ def run_evaluation(
             sweeps[(a, direction)] = edit_sweep(
                 model, probe, eval_stacks, a, direction, cfg.tau, cfg.delta, cfg.max_steps
             )
-    accuracy = accuracy_protocol(model, probe, eval_stacks, cfg.tau, cfg.delta, cfg.max_steps, sweeps)
-    ranks = rank_protocol(model, probe, eval_stacks, cfg.tau, cfg.delta, cfg.max_steps, sweeps)
+    accuracy = accuracy_protocol(probe, eval_stacks, sweeps)
+    ranks = rank_protocol(probe, sweeps)
 
     id_mse = np.full(len(attrs), np.nan)
     nu_mse = np.full(len(attrs), np.nan)

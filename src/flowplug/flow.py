@@ -18,7 +18,7 @@ from .errors import ConfigError, DimensionError, NumericError
 from .numerics import Mlp, Tensor, init_mlp
 from .numerics import autodiff as ad
 from .numerics.mlp import ACTIVATION_ARRAYS
-from .prior import LatentPair, PriorConfig
+from .prior import PriorConfig
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,6 @@ class FlowConfig:
             raise ConfigError("hidden_width and hidden_layers must be positive")
         if self.scale_clamp <= 0:
             raise ConfigError("scale_clamp must be positive")
-
-
-@dataclass
-class StyleCode:
-    """One per-layer style vector plus the index of the layer it feeds."""
-
-    w: np.ndarray
-    layer_index: int
 
 
 @dataclass
@@ -69,9 +61,6 @@ class StyleStack:
     def code_dim(self) -> int:
         return self.codes.shape[1]
 
-    def code(self, layer_index: int) -> StyleCode:
-        return StyleCode(w=self.codes[layer_index], layer_index=layer_index)
-
 
 class CouplingLayer:
     """One affine coupling step: half the coordinates pass through and
@@ -82,7 +71,6 @@ class CouplingLayer:
         self.scale_net = scale_net
         self.shift_net = shift_net
         self.scale_clamp = scale_clamp
-        self.code_dim = code_dim
         idx = np.arange(code_dim)
         self.pass_idx = idx[idx % 2 == mask_parity]
         self.trans_idx = idx[idx % 2 != mask_parity]
@@ -250,34 +238,6 @@ def _coupling_node(layer: CouplingLayer, state: Tensor, cond: np.ndarray) -> Ten
     )
 
 
-def _check_cond(layer: CouplingLayer, cond: np.ndarray) -> np.ndarray:
-    cond = np.asarray(cond, dtype=np.float64)
-    if cond.shape != (layer.scale_net.in_dim - layer.pass_idx.size,):
-        raise DimensionError("condition length does not match the coupling nets")
-    return cond[None, :]
-
-
-def coupling_forward(layer: CouplingLayer, x: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, float]:
-    """Single-vector coupling transform: y and the logdet contribution."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (layer.code_dim,):
-        raise DimensionError(f"input has shape {x.shape}, expected ({layer.code_dim},)")
-    out = _forward_rows(layer, np.append(x, 0.0)[None, :], _check_cond(layer, cond))
-    if not np.all(np.isfinite(out)):
-        raise NumericError("coupling_forward produced a non-finite output")
-    return out[0, :-1], float(out[0, -1])
-
-
-def coupling_inverse(layer: CouplingLayer, y: np.ndarray, cond: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (layer.code_dim,):
-        raise DimensionError(f"input has shape {y.shape}, expected ({layer.code_dim},)")
-    x, _ = _inverse_rows(layer, y[None, :], _check_cond(layer, cond))
-    if not np.all(np.isfinite(x)):
-        raise NumericError("coupling_inverse produced a non-finite output")
-    return x[0]
-
-
 def to_latent_t(model: FlowModel, x: Tensor, cond: np.ndarray) -> tuple[Tensor, Tensor]:
     """Batched graph-building forward pass: (latents, per-row logdet).
 
@@ -323,22 +283,3 @@ def latents_to_codes(model: FlowModel, latents: np.ndarray, layer_indices: np.nd
     if not np.all(np.isfinite(x)):
         raise NumericError("flow inverse produced a non-finite value")
     return x, logdet
-
-
-def to_latent(model: FlowModel, code: StyleCode) -> tuple[LatentPair, float]:
-    """Map one style code to its (attribute, non-attribute) latent pair."""
-    w = np.asarray(code.w, dtype=np.float64)
-    if w.shape != (model.code_dim,):
-        raise DimensionError(f"style code has shape {w.shape}, expected ({model.code_dim},)")
-    z, logdet = codes_to_latents(model, w[None, :], np.array([code.layer_index]))
-    m = model.prior.num_attrs
-    return LatentPair(c=z[0, :m], s=z[0, m:]), float(logdet[0])
-
-
-def to_style(model: FlowModel, pair: LatentPair, layer_index: int) -> StyleCode:
-    """Exact inverse of to_latent at the same layer condition."""
-    z = pair.concat()
-    if z.shape != (model.code_dim,):
-        raise DimensionError(f"latent pair has total length {z.shape[0]}, expected {model.code_dim}")
-    w, _ = latents_to_codes(model, z[None, :], np.array([layer_index]))
-    return StyleCode(w=w[0], layer_index=layer_index)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
 from .flow import FlowModel, StyleStack, to_latent_t
-from .numerics import Tensor, no_grad
+from .numerics import Tensor
 from .numerics import autodiff as ad
 from .prior import LOG_2PI, PriorConfig
 
@@ -60,9 +60,7 @@ def _group_rows(groups: list[list[StyleStack]], num_codes: int) -> tuple[np.ndar
     broadcasts them back to rows, and row_weights carries the per-row
     contrastive coefficient determined by its group size.
     """
-    sizes = [len(g) for g in groups]
-    num_stacks = sum(sizes)
-    b = num_stacks * num_codes
+    b = sum(len(g) for g in groups) * num_codes
     num_terms = len(groups) * num_codes
     avg = np.zeros((num_terms, b))
     expand = np.zeros((b, num_terms))
@@ -75,11 +73,8 @@ def _group_rows(groups: list[list[StyleStack]], num_codes: int) -> tuple[np.ndar
             rows = stack_offset * num_codes + layer + num_codes * np.arange(n)
             avg[term, rows] = 1.0 / n
             expand[rows, term] = 1.0
+        weights[stack_offset * num_codes : (stack_offset + n) * num_codes] = 0.0 if n == 1 else 2.0 / (n - 1)
         stack_offset += n
-    for gi, group in enumerate(groups):
-        n = len(group)
-        start = sum(sizes[:gi]) * num_codes
-        weights[start : start + n * num_codes] = 0.0 if n == 1 else 2.0 / (n - 1)
     return avg, expand, weights, num_terms
 
 
@@ -139,22 +134,3 @@ def batch_loss_graph(
     if not np.isfinite(total.data):
         raise NumericError("non-finite batch loss")
     return total, nll_mean, contrast_mean
-
-
-def nll_loss(model: FlowModel, stack: StyleStack, cfg: LossConfig) -> float:
-    """Negative log-likelihood of one stack, summed over its style codes."""
-    if stack.labels.shape != (cfg.prior.num_attrs,):
-        raise DimensionError("stack labels are missing or have the wrong length")
-    with no_grad():
-        _, nll_mean, _ = batch_loss_graph(model, [[stack]], cfg)
-    value = nll_mean.item()
-    if not math.isfinite(value):
-        raise NumericError("non-finite NLL")
-    return value
-
-
-def total_loss(model: FlowModel, groups: list[list[StyleStack]], cfg: LossConfig) -> float:
-    """Mean NLL over stacks plus weighted mean contrastive term."""
-    with no_grad():
-        total, _, _ = batch_loss_graph(model, groups, cfg)
-    return total.item()

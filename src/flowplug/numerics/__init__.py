@@ -11,7 +11,7 @@ from .autodiff import (
     parameter,
     zero_grads,
 )
-from .mlp import LEAKY_SLOPE, Mlp, init_mlp, mlp_apply
+from .mlp import LEAKY_SLOPE, Mlp, init_mlp
 
 __all__ = [
     "AdamConfig",
@@ -29,5 +29,4 @@ __all__ = [
     "LEAKY_SLOPE",
     "Mlp",
     "init_mlp",
-    "mlp_apply",
 ]

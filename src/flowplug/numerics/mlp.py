@@ -78,21 +78,9 @@ class Mlp:
                 h = act(h)
         return h
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Inference on one input vector; deterministic, no tape."""
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.ndim != 1:
-            raise DimensionError("apply expects a 1-D input vector")
-        with ad.no_grad():
-            return self.forward(Tensor(vec[None, :])).data[0]
-
     def apply_batch(self, x: np.ndarray) -> np.ndarray:
         with ad.no_grad():
             return self.forward(Tensor(x)).data
-
-
-def mlp_apply(params: Mlp, vec: np.ndarray) -> np.ndarray:
-    return params.apply(vec)
 
 
 def init_mlp(
@@ -121,4 +109,4 @@ def init_mlp(
     return Mlp(weights=weights, biases=biases, activation=activation)
 
 
-__all__ = ["ACTIVATION_ARRAYS", "Mlp", "mlp_apply", "init_mlp", "LEAKY_SLOPE"]
+__all__ = ["ACTIVATION_ARRAYS", "Mlp", "init_mlp", "LEAKY_SLOPE"]

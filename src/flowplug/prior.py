@@ -40,9 +40,6 @@ class LatentPair:
     c: np.ndarray
     s: np.ndarray
 
-    def concat(self) -> np.ndarray:
-        return np.concatenate([self.c, self.s])
-
 
 def _check_dims(pair: LatentPair, labels: np.ndarray, cfg: PriorConfig) -> None:
     if pair.c.shape != (cfg.num_attrs,):
@@ -67,24 +64,6 @@ def log_prior(pair: LatentPair, labels: np.ndarray, cfg: PriorConfig) -> float:
     quad_s = 0.5 * float(np.dot(pair.s, pair.s))
     const = -0.5 * m * (LOG_2PI + math.log(var)) - 0.5 * n_s * LOG_2PI
     return const - quad_c - quad_s
-
-
-def log_prior_rows(c: np.ndarray, s: np.ndarray, labels: np.ndarray, cfg: PriorConfig) -> np.ndarray:
-    """Batched log_prior over rows of (c, s, labels)."""
-    var = cfg.sigma * cfg.sigma
-    const = -0.5 * cfg.num_attrs * (LOG_2PI + math.log(var)) - 0.5 * (cfg.latent_dim - cfg.num_attrs) * LOG_2PI
-    d = c - labels
-    return const - np.sum(d * d, axis=1) / (2.0 * var) - 0.5 * np.sum(s * s, axis=1)
-
-
-def sample_latent(labels: np.ndarray, cfg: PriorConfig, rng: np.random.Generator) -> LatentPair:
-    """Draw (c, s) from the conditional prior; deterministic given the rng."""
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.shape != (cfg.num_attrs,):
-        raise DimensionError(f"label vector has shape {labels.shape}, expected ({cfg.num_attrs},)")
-    c = labels + cfg.sigma * rng.standard_normal(cfg.num_attrs)
-    s = rng.standard_normal(cfg.latent_dim - cfg.num_attrs)
-    return LatentPair(c=c, s=s)
 
 
 @dataclass(frozen=True)

@@ -234,7 +234,7 @@ SUITES = [
     ("backbone_invertibility", check_backbone),
     ("checkpoint_round_trip", check_checkpoint),
     ("edit_surgicality", check_edit_surgicality),
-    ("total_loss_gradient", check_loss_gradient),
+    ("batch_loss_gradient", check_loss_gradient),
 ]
 
 

@@ -176,10 +176,6 @@ class SyntheticDataset:
     def num_frames(self) -> int:
         return len(self.stacks)
 
-    @property
-    def has_oracle(self) -> bool:
-        return self.backbone is not None
-
     def frames_by_identity(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
         for i, st in enumerate(self.stacks):
@@ -287,7 +283,15 @@ def dataset_header_line(ds: SyntheticDataset) -> str:
 
 
 def dataset_fingerprint(ds: SyntheticDataset) -> str:
-    return hashlib.sha256(dataset_header_line(ds).encode("utf-8")).hexdigest()
+    """SHA-256 of the header line and, in record order, each record's ids
+    (little-endian int64) and labels and codes (little-endian float64).
+    Saving and loading keep it: JSON floats round-trip exactly."""
+    h = hashlib.sha256(dataset_header_line(ds).encode("utf-8"))
+    for st in ds.stacks:
+        h.update(np.array([st.identity_id, st.frame_id], dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(st.labels, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(st.codes, dtype="<f8").tobytes())
+    return h.hexdigest()
 
 
 def save_dataset(ds: SyntheticDataset, path) -> None:

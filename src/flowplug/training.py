@@ -68,39 +68,43 @@ class Checkpoint:
     dataset_fingerprint: str
 
 
-def make_batches(
-    ds: SyntheticDataset, cfg: TrainConfig, rng: np.random.Generator
+def _identity_batches(
+    ds: SyntheticDataset, cfg: TrainConfig, rng: np.random.Generator | None = None
 ) -> list[list[list[StyleStack]]]:
-    """One epoch's batches: each group holds frames of a single identity
-    (capped at frames_per_group); every frame appears exactly once."""
+    """Batches of ``cfg.batch_groups`` groups; each group holds up to
+    ``cfg.frames_per_group`` frames of one identity, identities in sorted
+    order. With ``rng``, each identity's frames are shuffled (in that order)
+    before chunking, and then the groups are permuted."""
     if not ds.stacks:
         raise DimensionError("dataset is empty")
     groups: list[list[StyleStack]] = []
     by_id = ds.frames_by_identity()
     for identity in sorted(by_id):
         idxs = np.array(by_id[identity])
-        rng.shuffle(idxs)
+        if rng is not None:
+            rng.shuffle(idxs)
         for start in range(0, len(idxs), cfg.frames_per_group):
             groups.append([ds.stacks[i] for i in idxs[start : start + cfg.frames_per_group]])
-    order = rng.permutation(len(groups))
-    groups = [groups[i] for i in order]
+    if rng is not None:
+        groups = [groups[i] for i in rng.permutation(len(groups))]
     return [groups[i : i + cfg.batch_groups] for i in range(0, len(groups), cfg.batch_groups)]
+
+
+def make_batches(
+    ds: SyntheticDataset, cfg: TrainConfig, rng: np.random.Generator
+) -> list[list[list[StyleStack]]]:
+    """One epoch's batches: each group holds frames of a single identity
+    (capped at frames_per_group); every frame appears exactly once."""
+    return _identity_batches(ds, cfg, rng)
 
 
 def dataset_mean_loss(model: FlowModel, ds: SyntheticDataset, cfg: TrainConfig) -> TraceRow:
     """Mean loss over the whole dataset with no parameter updates; grouping
     follows natural frame order, so the value is seed-independent."""
-    by_id = ds.frames_by_identity()
-    groups = []
-    for identity in sorted(by_id):
-        idxs = by_id[identity]
-        for start in range(0, len(idxs), cfg.frames_per_group):
-            groups.append([ds.stacks[i] for i in idxs[start : start + cfg.frames_per_group]])
     sums = np.zeros(3)
     count = 0
     with no_grad():
-        for start in range(0, len(groups), cfg.batch_groups):
-            batch = groups[start : start + cfg.batch_groups]
+        for batch in _identity_batches(ds, cfg):
             total, nll, contrast = batch_loss_graph(model, batch, cfg.loss)
             num_stacks = sum(len(g) for g in batch)
             sums += num_stacks * np.array([nll.item(), contrast.item(), total.item()])

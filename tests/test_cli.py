@@ -2,6 +2,7 @@
 whole-pipeline reproducibility."""
 
 import json
+import logging
 
 import pytest
 
@@ -193,6 +194,30 @@ class TestDispatch:
         assert "step-search" in capsys.readouterr().out
         rows = [json.loads(line) for line in (out_dir / "edited_stacks.jsonl").read_text().splitlines()[1:]]
         assert all("steps_used" in r and "converged" in r for r in rows)
+
+    def test_evaluate_warns_when_dataset_content_changed(self, tmp_path, config_file, caplog):
+        data_dir, train_dir = tmp_path / "data", tmp_path / "train"
+        dataset = data_dir / "dataset.jsonl"
+        assert dispatch(["gen-data", "--config", config_file, "--out", str(data_dir)]) == 0
+        assert dispatch(["train", "--config", config_file, "--dataset", str(dataset), "--out", str(train_dir)]) == 0
+        lines = dataset.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["codes"][0][0] += 0.5
+        lines[1] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("\n".join(lines) + "\n")
+
+        def evaluate(path, out):
+            """Fingerprint warnings logged by one evaluate run."""
+            args = ["evaluate", "--config", config_file, "--dataset", str(path), "--out", str(tmp_path / out)]
+            args += ["--checkpoint", str(train_dir / "checkpoint.json")]
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="flowplug.cli"):
+                assert dispatch(args) == 0
+            return [r.getMessage() for r in caplog.records if "fingerprint mismatch" in r.getMessage()]
+
+        assert evaluate(dataset, "same") == []
+        assert len(evaluate(edited, "edited")) == 1
 
     def test_bad_config_file_reports_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

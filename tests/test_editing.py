@@ -8,7 +8,6 @@ from flowplug.editing import (
     EditRequest,
     edit_attribute,
     interpolate_attribute,
-    minimal_edit,
     minimal_edit_batch,
     stack_latents,
 )
@@ -154,7 +153,7 @@ class TestMinimalEdit:
         z[:, 0] = 3.0  # far positive: sigmoid confidence ~ 1
         codes, _ = latents_to_codes(model, z, np.arange(model.num_codes))
         base = StyleStack(codes=codes, labels=stack.labels, identity_id=0, frame_id=0)
-        result = minimal_edit(model, base, 0, 1, SigmoidProbe(gain=4.0), tau=0.8)
+        result = minimal_edit_batch(model, [base], 0, 1, SigmoidProbe(gain=4.0), tau=0.8)[0]
         assert result.converged and result.steps_used == 0
         rel = np.abs(result.stack.codes - base.codes).max() / np.abs(base.codes).max()
         assert rel <= 1e-6
@@ -165,7 +164,7 @@ class TestMinimalEdit:
         tau, delta, max_steps = 0.9, 0.25, 40
         stack = make_stack(model, seed=3)
         z0 = stack_latents(model, stack)
-        result = minimal_edit(model, stack, 0, 1, probe, tau=tau, delta=delta, max_steps=max_steps)
+        result = minimal_edit_batch(model, [stack], 0, 1, probe, tau=tau, delta=delta, max_steps=max_steps)[0]
         # independent scan over the same step grid (identity flow: the mean
         # code's coordinate equals the mean edited latent coordinate)
         expected = None
@@ -180,7 +179,7 @@ class TestMinimalEdit:
     def test_impossible_threshold_not_converged(self):
         model = make_model()
         stack = make_stack(model)
-        result = minimal_edit(model, stack, 0, 1, SigmoidProbe(), tau=1.0 + 1e-9, max_steps=7)
+        result = minimal_edit_batch(model, [stack], 0, 1, SigmoidProbe(), tau=1.0 + 1e-9, max_steps=7)[0]
         assert not result.converged
         assert result.steps_used == 7
         assert result.stack is not None
@@ -190,8 +189,8 @@ class TestMinimalEdit:
         probe = SigmoidProbe(gain=2.0, center=1.2)
         for seed in range(5):
             stack = make_stack(model, seed=seed)
-            coarse = minimal_edit(model, stack, 0, 1, probe, tau=0.85, delta=0.5)
-            fine = minimal_edit(model, stack, 0, 1, probe, tau=0.85, delta=0.25)
+            coarse = minimal_edit_batch(model, [stack], 0, 1, probe, tau=0.85, delta=0.5)[0]
+            fine = minimal_edit_batch(model, [stack], 0, 1, probe, tau=0.85, delta=0.25)[0]
             assert fine.converged and coarse.converged
             assert fine.steps_used * 0.25 <= coarse.steps_used * 0.5
 
@@ -201,7 +200,7 @@ class TestMinimalEdit:
         stacks = [make_stack(model, seed=s) for s in range(6)]
         batch = minimal_edit_batch(model, stacks, 0, 1, probe, tau=0.9)
         for stack, got in zip(stacks, batch):
-            solo = minimal_edit(model, stack, 0, 1, probe, tau=0.9)
+            solo = minimal_edit_batch(model, [stack], 0, 1, probe, tau=0.9)[0]
             assert solo.steps_used == got.steps_used
             assert solo.converged == got.converged
             # batched BLAS calls may differ from one-at-a-time in the last ulp
@@ -211,7 +210,7 @@ class TestMinimalEdit:
     def test_direction_validated(self):
         model = make_model()
         with pytest.raises(ConfigError):
-            minimal_edit(model, make_stack(model), 0, 2, SigmoidProbe())
+            minimal_edit_batch(model, [make_stack(model)], 0, 2, SigmoidProbe())
 
 
 class TestInterpolate:

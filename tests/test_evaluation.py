@@ -12,6 +12,7 @@ from flowplug.evaluation import (
     EvalConfig,
     ProbeConfig,
     accuracy_protocol,
+    edit_sweep,
     evaluate_dataset,
     identity_drift,
     rank_protocol,
@@ -157,6 +158,13 @@ class TestProbe:
         assert probe.target_confidence(lo, 0, -1) > probe.target_confidence(hi, 0, -1)
 
 
+def all_sweeps(model, probe, stacks):
+    """One edit_sweep per (binary attribute, direction), as run_evaluation
+    builds them, at the default tau, delta and max_steps."""
+    attrs = [a for a, kind in enumerate(probe.attr_kinds) if kind == "binary"]
+    return {(a, d): edit_sweep(model, probe, stacks, a, d, 0.8, 0.25, 40) for a in attrs for d in (1, -1)}
+
+
 class TestProtocols:
     def make_trivial_setup(self):
         """Identity backbone + identity flow: fully disentangled by
@@ -170,7 +178,7 @@ class TestProtocols:
     def test_trivial_setup_achieves_perfect_scores(self):
         ds, model, probe = self.make_trivial_setup()
         stacks = ds.stacks[:60]
-        tables = accuracy_protocol(model, probe, stacks)
+        tables = accuracy_protocol(probe, stacks, all_sweeps(model, probe, stacks))
         off_diag = tables.retention[~np.isnan(tables.retention)]
         assert np.all(off_diag == 100.0)
         assert np.all(tables.modification == 100.0)
@@ -201,7 +209,7 @@ class TestProtocols:
     def test_rank_protocol_identity_construction_is_exact(self):
         ds, model, _ = self.make_trivial_setup()
         probe = self.make_coordinate_probe()
-        tables = rank_protocol(model, probe, ds.stacks[:60])
+        tables = rank_protocol(probe, all_sweeps(model, probe, ds.stacks[:60]))
         off_diag = tables.spearman[~np.isnan(tables.spearman)]
         assert np.all(off_diag == 1.0)
 
@@ -228,10 +236,10 @@ class TestProtocols:
     def test_accuracy_matrix_invariant_under_eval_shuffle(self):
         ds, model, probe = self.make_trivial_setup()
         stacks = ds.stacks[:40]
-        a = accuracy_protocol(model, probe, stacks)
+        a = accuracy_protocol(probe, stacks, all_sweeps(model, probe, stacks))
         rng = np.random.default_rng(3)
         shuffled = [stacks[i] for i in rng.permutation(len(stacks))]
-        b = accuracy_protocol(model, probe, shuffled)
+        b = accuracy_protocol(probe, shuffled, all_sweeps(model, probe, shuffled))
         assert np.array_equal(np.nan_to_num(a.retention), np.nan_to_num(b.retention))
         assert np.array_equal(a.modification, b.modification)
 

@@ -2,25 +2,23 @@
 exact invertibility, and the change-of-variables log-determinant."""
 
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowplug import flow
+from flowplug import editing, flow
 from flowplug.errors import ConfigError, DimensionError
 from flowplug.flow import (
     CouplingLayer,
     FlowConfig,
-    StyleCode,
     StyleStack,
     build_flow,
     codes_to_latents,
-    coupling_forward,
-    coupling_inverse,
     latents_to_codes,
-    to_latent,
     to_latent_t,
-    to_style,
 )
 from flowplug.numerics import AdamOptimizer, Mlp, Tensor, finite_diff_gradient, gradient, no_grad, parameter
 from flowplug.numerics import autodiff as ad
@@ -54,55 +52,61 @@ def constant_scale_layer(code_dim=6, log_scale=np.log(2.0), shift=0.0):
     return CouplingLayer(parity, const_net(log_scale), const_net(shift), scale_clamp=1e8, code_dim=code_dim)
 
 
+def packed(x):
+    """Rows ``[x | 0]``: the coupling core carries the running logdet as an
+    extra last column."""
+    return np.concatenate([x, np.zeros((x.shape[0], 1))], axis=1)
+
+
 class TestCouplingLayer:
     def test_zero_init_is_identity(self):
         model = small_model()
-        x = np.random.default_rng(0).normal(size=6)
-        y, logdet = coupling_forward(model.layers[0], x, np.array([1.0, 0.0, 0.0]))
-        assert np.array_equal(y, x)
-        assert logdet == 0.0
+        x = np.random.default_rng(0).normal(size=(1, 6))
+        out = flow._forward_rows(model.layers[0], packed(x), np.array([[1.0, 0.0, 0.0]]))
+        assert np.array_equal(out[:, :-1], x)
+        assert out[0, -1] == 0.0
 
     def test_constant_scale_doubles_transformed_half(self):
         layer = constant_scale_layer()
-        x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        y, logdet = coupling_forward(layer, x, np.zeros(2))
+        x = np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
+        out = flow._forward_rows(layer, packed(x), np.zeros((1, 2)))
         # even coordinates pass through, odd are doubled
-        assert np.allclose(y, [1.0, 4.0, 3.0, 8.0, 5.0, 12.0], atol=1e-9)
-        assert logdet == pytest.approx(2.0794415416798357, abs=1e-9)
+        assert np.allclose(out[0, :-1], [1.0, 4.0, 3.0, 8.0, 5.0, 12.0], atol=1e-9)
+        assert out[0, -1] == pytest.approx(2.0794415416798357, abs=1e-9)
 
     def test_constant_scale_inverse_halves(self):
         layer = constant_scale_layer()
-        y = np.array([1.0, 4.0, 3.0, 8.0, 5.0, 12.0])
-        x = coupling_inverse(layer, y, np.zeros(2))
-        assert np.allclose(x, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], atol=1e-9)
+        y = np.array([[1.0, 4.0, 3.0, 8.0, 5.0, 12.0]])
+        x, _ = flow._inverse_rows(layer, y, np.zeros((1, 2)))
+        assert np.allclose(x[0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], atol=1e-9)
 
     def test_round_trip_random_inputs(self):
         model = small_model(perturb=0.3)
         rng = np.random.default_rng(5)
         layer = model.layers[1]
-        for _ in range(1000):
-            x = rng.normal(size=6) * 2
-            cond = np.eye(3)[rng.integers(0, 3)]
-            y, _ = coupling_forward(layer, x, cond)
-            back = coupling_inverse(layer, y, cond)
-            assert np.abs(back - x).max() <= 1e-9
+        x = rng.normal(size=(1000, 6)) * 2
+        cond = np.eye(3)[rng.integers(0, 3, size=1000)]
+        y = flow._forward_rows(layer, packed(x), cond)[:, :-1]
+        back, _ = flow._inverse_rows(layer, y, cond)
+        assert np.abs(back - x).max() <= 1e-9
 
     def test_dimension_mismatch_rejected(self):
         model = small_model()
         with pytest.raises(DimensionError):
-            coupling_forward(model.layers[0], np.zeros(5), np.array([1.0, 0.0, 0.0]))
+            codes_to_latents(model, np.zeros((1, 5)), np.array([0]))
         with pytest.raises(DimensionError):
-            coupling_forward(model.layers[0], np.zeros(6), np.zeros(4))
+            latents_to_codes(model, np.zeros((1, 7)), np.array([0]))
+        with pytest.raises(DimensionError):
+            codes_to_latents(model, np.zeros(6), np.array([0]))
 
 
 class TestToLatent:
     def test_identity_at_init_splits_raw_code(self):
         model = small_model()
-        w = np.array([0.5, -1.0, 2.0, 0.1, -0.3, 0.9])
-        pair, logdet = to_latent(model, StyleCode(w=w, layer_index=1))
-        assert np.array_equal(pair.c, w[:2])
-        assert np.array_equal(pair.s, w[2:])
-        assert logdet == 0.0
+        w = np.array([[0.5, -1.0, 2.0, 0.1, -0.3, 0.9]])
+        z, logdet = codes_to_latents(model, w, np.array([1]))
+        assert np.array_equal(z, w)
+        assert logdet[0] == 0.0
 
     def test_logdet_matches_finite_difference_jacobian(self):
         model = small_model(perturb=0.25)
@@ -147,7 +151,9 @@ class TestToLatent:
     def test_layer_index_out_of_range(self):
         model = small_model()
         with pytest.raises(DimensionError):
-            to_latent(model, StyleCode(w=np.zeros(6), layer_index=3))
+            codes_to_latents(model, np.zeros((1, 6)), np.array([3]))
+        with pytest.raises(DimensionError):
+            latents_to_codes(model, np.zeros((1, 6)), np.array([-1]))
 
 
 class TestToStyle:
@@ -164,12 +170,11 @@ class TestToStyle:
                 assert rel <= 1e-6
 
     def test_identity_init_concatenates(self):
-        from flowplug.prior import LatentPair
-
         model = small_model()
-        pair = LatentPair(c=np.array([1.0, -2.0]), s=np.array([0.1, 0.2, 0.3, 0.4]))
-        code = to_style(model, pair, layer_index=0)
-        assert np.array_equal(code.w, pair.concat())
+        c, s = np.array([1.0, -2.0]), np.array([0.1, 0.2, 0.3, 0.4])
+        codes, logdet = latents_to_codes(model, np.concatenate([c, s])[None, :], np.array([0]))
+        assert np.array_equal(codes[0], np.concatenate([c, s]))
+        assert logdet[0] == 0.0
 
     def test_inverse_logdet_negates_forward(self):
         model = small_model(perturb=0.4)
@@ -298,3 +303,87 @@ class TestFusedCoupling:
         stepped, _ = codes_to_latents(model, x, idx)
         assert not np.array_equal(stepped, after)
         assert np.array_equal(stepped, codes_to_latents(copy.deepcopy(model), x, idx)[0])
+
+
+@st.composite
+def flow_cases(draw):
+    """A small perturbed flow, 1-17 code rows with random layer indices, and
+    a mask parity: odd and even code_dim give unequal and equal halves."""
+    num_codes = draw(st.integers(min_value=1, max_value=4))
+    code_dim = draw(st.integers(min_value=2, max_value=7))
+    batch = draw(st.integers(min_value=1, max_value=17))
+    parity = draw(st.sampled_from([0, 1]))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    prior = PriorConfig(num_attrs=1, latent_dim=code_dim, sigma=0.5)
+    model = build_flow(prior, num_codes, FlowConfig(num_couplings=3, hidden_width=6), seed)
+    rng = np.random.default_rng(seed)
+    for p in model.parameters():
+        p.data = p.data + 0.3 * rng.normal(size=p.data.shape)
+    x = rng.normal(size=(batch, code_dim)) * 2
+    idx = rng.integers(0, num_codes, size=batch)
+    return model, x, idx, parity
+
+
+def fd_logdet(fn, x, h=1e-6):
+    """Per-row log|det| of the central-difference Jacobian of a row-wise map."""
+    n = x.shape[1]
+    jac = np.zeros((x.shape[0], n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = h
+        jac[:, :, j] = (fn(x + e) - fn(x - e)) / (2 * h)
+    return np.linalg.slogdet(jac)
+
+
+class TestBatchedCoreProperties:
+    """Properties of the batched core over random shapes; together with the
+    fixed cases above they hold what the single-vector helpers once did."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=flow_cases())
+    def test_round_trip_within_1e_12(self, case):
+        model, x, idx, parity = case
+        scale = max(1.0, np.abs(x).max())
+        z, _ = codes_to_latents(model, x, idx)
+        back, _ = latents_to_codes(model, z, idx)
+        assert np.abs(back - x).max() <= 1e-12 * scale
+        layer, cond = model.layers[parity], np.eye(model.num_codes)[idx]
+        assert layer.mask_parity == parity
+        y = flow._forward_rows(layer, packed(x), cond)[:, :-1]
+        back, _ = flow._inverse_rows(layer, y, cond)
+        assert np.abs(back - x).max() <= 1e-12 * scale
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=flow_cases())
+    def test_forward_logdet_matches_finite_difference_jacobian(self, case):
+        model, x, idx, parity = case
+        _, logdet = codes_to_latents(model, x, idx)
+        sign, fd = fd_logdet(lambda rows: codes_to_latents(model, rows, idx)[0], x)
+        assert np.all(sign == 1.0)
+        assert np.abs(logdet - fd).max() <= 1e-4
+        layer, cond = model.layers[parity], np.eye(model.num_codes)[idx]
+        out = flow._forward_rows(layer, packed(x), cond)
+        sign, fd = fd_logdet(lambda rows: flow._forward_rows(layer, packed(rows), cond)[:, :-1], x)
+        assert np.all(sign == 1.0)
+        assert np.abs(out[:, -1] - fd).max() <= 1e-4
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=flow_cases())
+    def test_inverse_logdet_negates_forward(self, case):
+        model, x, idx, _ = case
+        z, logdet = codes_to_latents(model, x, idx)
+        _, inv_logdet = latents_to_codes(model, z, idx)
+        assert np.abs(logdet + inv_logdet).max() <= 1e-10 * max(1.0, np.abs(logdet).max())
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=flow_cases(), target=st.floats(min_value=-3.0, max_value=3.0))
+    def test_absolute_edit_keeps_other_latent_columns_bitwise(self, case, target):
+        model, x, _, _ = case
+        k = model.num_codes
+        stack = StyleStack(codes=np.resize(x, (k, x.shape[1])), labels=np.ones(1), identity_id=0, frame_id=0)
+        before, _ = codes_to_latents(model, stack.codes, np.arange(k))
+        with mock.patch.object(editing, "latents_to_codes", wraps=latents_to_codes) as spy:
+            editing.edit_attribute(model, stack, editing.EditRequest(attr_index=0, target=target))
+        decoded = spy.call_args.args[1]
+        assert np.array_equal(decoded[:, 1:], before[:, 1:])
+        assert np.all(decoded[:, 0] == target)

@@ -7,15 +7,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowplug.errors import DimensionError
-from flowplug.flow import FlowConfig, StyleCode, StyleStack, build_flow, to_latent
-from flowplug.losses import LossConfig, batch_loss_graph, contrastive_loss, nll_loss, total_loss
-from flowplug.numerics import finite_diff_gradient, gradient
-from flowplug.prior import PriorConfig, log_prior
+from flowplug.flow import FlowConfig, StyleStack, build_flow, codes_to_latents
+from flowplug.losses import LossConfig, batch_loss_graph, contrastive_loss
+from flowplug.numerics import finite_diff_gradient, gradient, no_grad
+from flowplug.prior import LatentPair, PriorConfig, log_prior
 
 
 def identity_model(num_attrs=2, latent_dim=6, num_codes=2, seed=0):
     prior = PriorConfig(num_attrs=num_attrs, latent_dim=latent_dim, sigma=0.5)
     return build_flow(prior, num_codes, FlowConfig(num_couplings=2, hidden_width=8), seed)
+
+
+def batch_values(model, groups, cfg):
+    """(total, mean NLL) of batch_loss_graph as floats, with no tape."""
+    with no_grad():
+        total, nll_mean, _ = batch_loss_graph(model, groups, cfg)
+    return total.item(), nll_mean.item()
+
+
+def nll(model, stack, cfg):
+    return batch_values(model, [[stack]], cfg)[1]
+
+
+def batch_total(model, groups, cfg):
+    return batch_values(model, groups, cfg)[0]
+
+
+def latent_pair(model, stack, layer_index):
+    z, _ = codes_to_latents(model, stack.codes[layer_index][None, :], np.array([layer_index]))
+    m = model.prior.num_attrs
+    return LatentPair(c=z[0, :m], s=z[0, m:])
 
 
 def make_stack(rng, model, identity_id=0, frame_id=0):
@@ -34,17 +55,17 @@ class TestNllLoss:
         stack = make_stack(rng, model)
         cfg = LossConfig(prior=model.prior)
         expected = -sum(
-            log_prior(to_latent(model, StyleCode(w=stack.codes[i], layer_index=i))[0], stack.labels, model.prior)
+            log_prior(latent_pair(model, stack, i), stack.labels, model.prior)
             for i in range(model.num_codes)
         )
-        assert nll_loss(model, stack, cfg) == pytest.approx(expected, abs=1e-10)
+        assert nll(model, stack, cfg) == pytest.approx(expected, abs=1e-10)
 
     def test_single_code_closed_form(self):
         prior = PriorConfig(num_attrs=1, latent_dim=2, sigma=1.0)
         model = build_flow(prior, 1, FlowConfig(num_couplings=2, hidden_width=4), seed=1)
         y = 0.8
         stack = StyleStack(codes=np.array([[y, 0.0]]), labels=np.array([y]), identity_id=0, frame_id=0)
-        value = nll_loss(model, stack, LossConfig(prior=prior))
+        value = nll(model, stack, LossConfig(prior=prior))
         assert value == pytest.approx(1.8378770664093453, abs=1e-12)
 
     def test_full_scale_shape(self):
@@ -59,9 +80,9 @@ class TestNllLoss:
             frame_id=0,
         )
         cfg = LossConfig(prior=prior)
-        whole = nll_loss(model, stack, cfg)
+        whole = nll(model, stack, cfg)
         per_code = [
-            -log_prior(to_latent(model, StyleCode(w=stack.codes[i], layer_index=i))[0], stack.labels, prior)
+            -log_prior(latent_pair(model, stack, i), stack.labels, prior)
             for i in range(18)
         ]
         assert len(per_code) == 18
@@ -71,7 +92,7 @@ class TestNllLoss:
         model = identity_model()
         stack = StyleStack(codes=np.zeros((2, 6)), labels=np.zeros(1), identity_id=0, frame_id=0)
         with pytest.raises(DimensionError):
-            nll_loss(model, stack, LossConfig(prior=model.prior))
+            nll(model, stack, LossConfig(prior=model.prior))
 
 
 class TestContrastiveLoss:
@@ -123,8 +144,8 @@ class TestTotalLoss:
         groups = [[make_stack(rng, model, 0, i) for i in range(3)], [make_stack(rng, model, 1, i) for i in range(2)]]
         cfg = LossConfig(prior=model.prior, lambda_contrastive=0.0)
         stacks = [s for g in groups for s in g]
-        mean_nll = np.mean([nll_loss(model, s, cfg) for s in stacks])
-        assert total_loss(model, groups, cfg) == pytest.approx(mean_nll, abs=1e-9)
+        mean_nll = np.mean([nll(model, s, cfg) for s in stacks])
+        assert batch_total(model, groups, cfg) == pytest.approx(mean_nll, abs=1e-9)
 
     def test_single_frame_groups_drop_contrastive(self):
         model = identity_model()
@@ -132,8 +153,8 @@ class TestTotalLoss:
         groups = [[make_stack(rng, model, i, 0)] for i in range(4)]
         cfg = LossConfig(prior=model.prior, lambda_contrastive=5.0)
         stacks = [s for g in groups for s in g]
-        mean_nll = np.mean([nll_loss(model, s, cfg) for s in stacks])
-        assert total_loss(model, groups, cfg) == pytest.approx(mean_nll, abs=1e-9)
+        mean_nll = np.mean([nll(model, s, cfg) for s in stacks])
+        assert batch_total(model, groups, cfg) == pytest.approx(mean_nll, abs=1e-9)
 
     def test_hand_composed_two_groups(self):
         model = identity_model()
@@ -144,7 +165,7 @@ class TestTotalLoss:
         ]
         cfg = LossConfig(prior=model.prior, lambda_contrastive=1.0, normalize_groups=True)
         stacks = [s for g in groups for s in g]
-        mean_nll = np.mean([nll_loss(model, s, cfg) for s in stacks])
+        mean_nll = np.mean([nll(model, s, cfg) for s in stacks])
         # identity flow: the non-attribute vector is the raw code tail
         terms = []
         for group in groups:
@@ -152,22 +173,22 @@ class TestTotalLoss:
                 s_vectors = np.stack([st.codes[layer, model.prior.num_attrs :] for st in group])
                 terms.append(contrastive_loss(s_vectors, normalize=True))
         expected = mean_nll + np.mean(terms)
-        assert total_loss(model, groups, cfg) == pytest.approx(expected, abs=1e-9)
+        assert batch_total(model, groups, cfg) == pytest.approx(expected, abs=1e-9)
 
     def test_mixed_identity_group_rejected(self):
         model = identity_model()
         rng = np.random.default_rng(8)
         bad_group = [make_stack(rng, model, 0, 0), make_stack(rng, model, 1, 0)]
         with pytest.raises(DimensionError):
-            total_loss(model, [bad_group], LossConfig(prior=model.prior))
+            batch_total(model, [bad_group], LossConfig(prior=model.prior))
 
     def test_group_permutation_leaves_value_unchanged(self):
         model = identity_model()
         rng = np.random.default_rng(9)
         group = [make_stack(rng, model, 0, i) for i in range(5)]
         cfg = LossConfig(prior=model.prior)
-        a = total_loss(model, [group], cfg)
-        b = total_loss(model, [list(reversed(group))], cfg)
+        a = batch_total(model, [group], cfg)
+        b = batch_total(model, [list(reversed(group))], cfg)
         assert a == pytest.approx(b, rel=1e-12)
 
     @pytest.mark.parametrize("perturb", [0.0, 0.1], ids=["identity_init", "perturbed"])

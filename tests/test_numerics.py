@@ -15,7 +15,6 @@ from flowplug.numerics import (
     finite_diff_gradient,
     gradient,
     init_mlp,
-    mlp_apply,
     parameter,
 )
 from flowplug.numerics import autodiff as ad
@@ -31,27 +30,27 @@ def rel_err(a, b, floor=1e-4):
 class TestMlpApply:
     def test_identity_layer(self):
         net = Mlp(weights=[parameter(np.eye(2))], biases=[parameter(np.zeros(2))])
-        assert np.array_equal(mlp_apply(net, np.array([1.0, 2.0])), [1.0, 2.0])
+        assert np.array_equal(net.apply_batch(np.array([[1.0, 2.0]])), [[1.0, 2.0]])
 
     def test_scaled_layer_with_bias(self):
         net = Mlp(weights=[parameter(2.0 * np.eye(2))], biases=[parameter(np.ones(2))])
-        assert np.array_equal(mlp_apply(net, np.array([1.0, 2.0])), [3.0, 5.0])
+        assert np.array_equal(net.apply_batch(np.array([[1.0, 2.0]])), [[3.0, 5.0]])
 
     def test_all_zero_annihilates(self):
         net = Mlp(weights=[parameter(np.zeros((3, 4)))], biases=[parameter(np.zeros(4))])
-        assert np.array_equal(mlp_apply(net, np.array([5.0, -1.0, 2.0])), np.zeros(4))
+        assert np.array_equal(net.apply_batch(np.array([[5.0, -1.0, 2.0]])), np.zeros((1, 4)))
 
     def test_dimension_mismatch_rejected(self):
         net = init_mlp([3, 4], np.random.default_rng(0))
         with pytest.raises(DimensionError):
-            mlp_apply(net, np.zeros(5))
+            net.apply_batch(np.zeros((1, 5)))
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         net = init_mlp([4, 8, 2], rng)
-        x = rng.normal(size=4)
-        a = mlp_apply(net, x)
-        b = mlp_apply(net, x)
+        x = rng.normal(size=(3, 4))
+        a = net.apply_batch(x)
+        b = net.apply_batch(x)
         assert np.array_equal(a, b)
 
     def test_chain_mismatch_rejected(self):

@@ -1,5 +1,5 @@
-"""Factorized conditional prior: closed forms, sampling moments,
-normalization, and label mapping."""
+"""Factorized conditional prior: closed forms, normalization, and label
+mapping."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 
 from flowplug.errors import ConfigError, DimensionError
-from flowplug.prior import LabelStats, LatentPair, PriorConfig, label_to_mean, log_prior, sample_latent
+from flowplug.prior import LabelStats, LatentPair, PriorConfig, label_to_mean, log_prior
 
 
 class TestLogPrior:
@@ -67,35 +67,6 @@ class TestLogPrior:
 
         total, _ = integrate.dblquad(density, -8, 8, -8, 8, epsabs=1e-6)
         assert total == pytest.approx(1.0, abs=1e-4)
-
-
-class TestSampleLatent:
-    def test_degenerate_sigma_collapses_to_label(self):
-        cfg = PriorConfig(num_attrs=3, latent_dim=6, sigma=1e-12)
-        y = np.array([1.0, -1.0, 0.25])
-        pair = sample_latent(y, cfg, np.random.default_rng(0))
-        assert np.abs(pair.c - y).max() <= 1e-6
-
-    def test_attribute_sample_mean_near_label(self):
-        cfg = PriorConfig(num_attrs=2, latent_dim=4, sigma=0.5)
-        y = np.array([1.0, -1.0])
-        rng = np.random.default_rng(3)
-        draws = np.stack([sample_latent(y, cfg, rng).c for _ in range(10_000)])
-        bound = 4.0 * cfg.sigma / math.sqrt(10_000)
-        assert np.abs(draws.mean(axis=0) - y).max() <= bound
-
-    def test_non_attribute_moments(self):
-        cfg = PriorConfig(num_attrs=1, latent_dim=4, sigma=0.5)
-        rng = np.random.default_rng(4)
-        draws = np.stack([sample_latent(np.array([0.0]), cfg, rng).s for _ in range(10_000)])
-        assert abs(draws.mean()) <= 0.05
-        assert abs(draws.var() - 1.0) <= 0.05
-
-    def test_deterministic_given_seed(self):
-        cfg = PriorConfig(num_attrs=1, latent_dim=3, sigma=0.5)
-        a = sample_latent(np.array([1.0]), cfg, np.random.default_rng(9))
-        b = sample_latent(np.array([1.0]), cfg, np.random.default_rng(9))
-        assert np.array_equal(a.c, b.c) and np.array_equal(a.s, b.s)
 
 
 class TestLabelToMean:

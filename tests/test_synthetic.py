@@ -1,6 +1,8 @@
 """Mock backbone and dataset generation: exact invertibility, conditioning
 bounds, determinism, and the JSONL wire format."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,17 @@ class TestSerialization:
             assert (a.identity_id, a.frame_id) == (b.identity_id, b.frame_id)
         assert np.array_equal(loaded.backbone.mix, ds.backbone.mix)
         assert dataset_fingerprint(loaded) == dataset_fingerprint(ds)
+
+    def test_fingerprint_binds_record_content(self, tmp_path):
+        ds = generate_dataset(SMALL, seed=10)
+        path, edited = tmp_path / "ds.jsonl", tmp_path / "edited.jsonl"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[3])
+        rec["codes"][1][2] += 1e-6
+        lines[3] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        edited.write_text("\n".join(lines) + "\n")
+        assert dataset_fingerprint(load_dataset(edited)) != dataset_fingerprint(load_dataset(path))
 
     def test_ground_truth_sidecar_round_trip(self, tmp_path):
         ds = generate_dataset(SMALL, seed=11)
