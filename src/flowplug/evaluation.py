@@ -20,7 +20,7 @@ from .configio import dataclass_to_jsonable
 from .editing import EditResult, minimal_edit_batch
 from .errors import ConfigError, DatasetError, DimensionError, UndefinedResultError
 from .flow import FlowModel, StyleStack
-from .numerics import AdamConfig, AdamOptimizer, Tensor, backward, init_mlp
+from .numerics import AdamConfig, AdamOptimizer, Mlp, Tensor, backward, init_mlp
 from .numerics import autodiff as ad
 from .synthetic import MockBackbone, SyntheticConfig, SyntheticDataset, backbone_invert, split_factors
 
@@ -57,7 +57,7 @@ class ProbeModel:
     gated on a confidence threshold.
     """
 
-    net: object
+    net: Mlp
     input_mode: str
     input_mean: np.ndarray
     input_std: np.ndarray
@@ -76,7 +76,7 @@ class ProbeModel:
 
     def std_scores(self, codes: np.ndarray) -> np.ndarray:
         """Network outputs in standardized label units, shape (batch, M)."""
-        return self.net.apply_batch(self._features(codes))
+        return self.net.forward(self._features(codes))
 
     def raw_scores(self, codes: np.ndarray) -> np.ndarray:
         return self.std_scores(codes) * self.label_std + self.label_mean
@@ -111,6 +111,14 @@ def _fit_logistic_1d(scores: np.ndarray, y01: np.ndarray, iters: int = 40) -> tu
         if np.max(np.abs(step)) < 1e-9:
             break
     return float(w[0]), float(w[1])
+
+
+def _probe_loss(net: Mlp, x: np.ndarray, y: np.ndarray) -> Tensor:
+    """Row-mean squared error: one tape node over ``net.parameters()``."""
+    kept: list = []
+    d = net.forward(x, kept) - y
+    loss = np.sum(d * d) * (1.0 / y.shape[0])
+    return ad.record(loss, tuple(net.parameters()), lambda g_out: net.backward(d * (2.0 / y.shape[0]) * g_out, kept))
 
 
 def train_probe(ds: SyntheticDataset, cfg: ProbeConfig) -> ProbeModel:
@@ -149,10 +157,7 @@ def train_probe(ds: SyntheticDataset, cfg: ProbeConfig) -> ProbeModel:
         for start in range(0, n_train, cfg.batch_size):
             sel = perm[start : start + cfg.batch_size]
             opt.zero_grad()
-            pred = net.forward(Tensor(x_train[sel]))
-            d = pred - Tensor(y_train[sel])
-            loss = ad.asum(d * d) * (1.0 / sel.size)
-            backward(loss)
+            backward(_probe_loss(net, x_train[sel], y_train[sel]))
             opt.step()
 
     probe = ProbeModel(
@@ -513,11 +518,6 @@ def evaluate_dataset(
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def _matrix_rows(names: list[str], row_attrs: list[int], col_attrs: list[int], matrix: np.ndarray):
-    for ri, a in enumerate(row_attrs):
-        yield names[a], [matrix[ri, ci] for ci in range(len(col_attrs))]
 
 
 def report_to_jsonable(report: EvalReport) -> dict:

@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
 from .numerics import Mlp, Tensor, init_mlp
-from .numerics import autodiff as ad
-from .numerics.mlp import ACTIVATION_ARRAYS
 from .prior import PriorConfig
 
 
@@ -122,37 +120,12 @@ def build_flow(prior: PriorConfig, num_codes: int, cfg: FlowConfig, seed: int) -
 # --- the coupling core: plain arrays, one (s, t) routine for every path ---
 
 
-def _net_rest(net: Mlp, h: np.ndarray, kept: list | None) -> np.ndarray:
-    """Run ``net`` on from its first layer's pre-activation ``h``; with
-    ``kept``, append each hidden layer's (pre-activation, activation)."""
-    act = ACTIVATION_ARRAYS[net.activation][0]
-    for w, b in zip(net.weights[1:], net.biases[1:]):
-        z = act(h)
-        if kept is not None:
-            kept.append((h, z))
-        h = z @ w.data
-        h += b.data
-    return h
-
-
-def _net_rest_backward(net: Mlp, g: np.ndarray, kept: list) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Backward of ``_net_rest``: the gradient at the first layer's
-    pre-activation, and the gradients of layers 1.. in parameter order."""
-    act_backward = ACTIVATION_ARRAYS[net.activation][1]
-    grads: list[np.ndarray] = []
-    for (pre, z), w in zip(reversed(kept), reversed(net.weights[1:])):
-        grads[:0] = [z.T @ g, g.sum(axis=0)]
-        g = g @ w.data.T
-        act_backward(g, pre, z)
-    return g, grads
-
-
 def _scale_shift(layer: CouplingLayer, xp: np.ndarray, cond: np.ndarray, kept: dict | None = None):
     """Soft-clamped log-scale ``s`` and shift ``t`` of one coupling, from the
     pass-through rows ``xp`` and the condition rows ``cond``.
 
-    This one routine serves the graph forward, the inference forward and the
-    inverse. Both nets see the same input, so their first layers run as one
+    This one routine serves the training forward, the inference forward and
+    the inverse. Both nets see the same input, so their first layers run as one
     GEMM on weights stacked at call time: parameters change in place during
     training, so nothing derived from them is cached. The condition enters
     as ``cond @ W0[n_pass:]``. With ``kept``, stores what the hand-derived
@@ -166,8 +139,8 @@ def _scale_shift(layer: CouplingLayer, xp: np.ndarray, cond: np.ndarray, kept: d
     a += np.concatenate([net.biases[0].data for net in nets])
     width = layer.scale_net.weights[0].data.shape[1]
     scale_kept, shift_kept = ([], []) if kept is not None else (None, None)
-    th = np.tanh(_net_rest(layer.scale_net, a[:, :width], scale_kept) / layer.scale_clamp)
-    t = _net_rest(layer.shift_net, a[:, width:], shift_kept)
+    th = np.tanh(layer.scale_net.rest(a[:, :width], scale_kept) / layer.scale_clamp)
+    t = layer.shift_net.rest(a[:, width:], shift_kept)
     if kept is not None:
         kept.update(xp=xp, w0=w0, width=width, th=th, scale=scale_kept, shift=shift_kept)
     return layer.scale_clamp * th, t
@@ -198,8 +171,8 @@ def _backward_rows(layer: CouplingLayer, g_out: np.ndarray, cond: np.ndarray, ke
     g_raw += g_out[:, -1:]
     th = kept["th"]
     g_raw *= 1.0 - th * th  # d s / d s_raw of the soft clamp
-    g_scale, scale_grads = _net_rest_backward(layer.scale_net, g_raw, kept["scale"])
-    g_shift, shift_grads = _net_rest_backward(layer.shift_net, g_t, kept["shift"])
+    g_scale, scale_grads = layer.scale_net.rest_backward(g_raw, kept["scale"])
+    g_shift, shift_grads = layer.shift_net.rest_backward(g_t, kept["shift"])
     g_a = np.concatenate([g_scale, g_shift], axis=1)
     g_w0 = np.concatenate([kept["xp"].T @ g_a, cond.T @ g_a])
     g_b0 = np.sum(g_a, axis=0)
@@ -225,30 +198,26 @@ def _inverse_rows(layer: CouplingLayer, y: np.ndarray, cond: np.ndarray) -> tupl
     return x, s
 
 
-def _coupling_node(layer: CouplingLayer, state: Tensor, cond: np.ndarray) -> Tensor:
-    """One tape node for a whole coupling, on packed rows."""
-    if not ad.grad_enabled():
-        return Tensor(_forward_rows(layer, state.data, cond))
-    kept: dict = {}
-    out = _forward_rows(layer, state.data, cond, kept)
-    return ad.record(
-        out,
-        (state, *layer.parameters()),
-        lambda g: _backward_rows(layer, g, cond, kept, state.requires_grad),
-    )
-
-
-def to_latent_t(model: FlowModel, x: Tensor, cond: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Batched graph-building forward pass: (latents, per-row logdet).
-
-    Each coupling records a single tape node; the running logdet rides
-    along as an extra last column of the rows passed between couplings.
-    """
-    n = model.code_dim
-    state = ad.concat_cols([x, Tensor(np.zeros((x.data.shape[0], 1)))])
+def packed_forward(model: FlowModel, codes: np.ndarray, cond: np.ndarray, kept: list | None = None) -> np.ndarray:
+    """Packed rows ``[latents | logdet]`` after every coupling; with
+    ``kept``, appends one dict per coupling for ``packed_backward``."""
+    state = np.concatenate([codes, np.zeros((codes.shape[0], 1))], axis=1)
     for layer in model.layers:
-        state = _coupling_node(layer, state, cond)
-    return ad.take_cols(state, np.arange(n)), ad.asum(ad.take_cols(state, np.array([n])), axis=1)
+        layer_kept = None if kept is None else {}
+        state = _forward_rows(layer, state, cond, layer_kept)
+        if kept is not None:
+            kept.append(layer_kept)
+    return state
+
+
+def packed_backward(model: FlowModel, g_state: np.ndarray, cond: np.ndarray, kept: list) -> list[np.ndarray]:
+    """Reverse of ``packed_forward``: from the gradient of its packed output
+    rows, the gradients of ``model.parameters()``."""
+    grads: list[np.ndarray] = []
+    for i in reversed(range(len(model.layers))):
+        g_state, *layer_grads = _backward_rows(model.layers[i], g_state, cond, kept[i], want_input=i > 0)
+        grads[:0] = layer_grads
+    return grads
 
 
 def _batch_inputs(model: FlowModel, rows: np.ndarray, layer_indices: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -265,9 +234,7 @@ def _batch_inputs(model: FlowModel, rows: np.ndarray, layer_indices: np.ndarray,
 def codes_to_latents(model: FlowModel, codes: np.ndarray, layer_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched style codes -> latent rows; returns (latents, per-row logdet)."""
     codes, cond = _batch_inputs(model, codes, layer_indices, "codes")
-    state = np.concatenate([codes, np.zeros((codes.shape[0], 1))], axis=1)
-    for layer in model.layers:
-        state = _forward_rows(layer, state, cond)
+    state = packed_forward(model, codes, cond)
     if not np.all(np.isfinite(state)):
         raise NumericError("flow forward produced a non-finite value")
     return state[:, :-1].copy(), state[:, -1].copy()

@@ -11,7 +11,7 @@ from math import fsum
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
-from .flow import FlowModel, StyleStack, to_latent_t
+from .flow import FlowModel, StyleStack, packed_backward, packed_forward
 from .numerics import Tensor
 from .numerics import autodiff as ad
 from .prior import LOG_2PI, PriorConfig
@@ -52,38 +52,14 @@ def contrastive_loss(s_vectors: np.ndarray, normalize: bool = False) -> float:
     return value
 
 
-def _group_rows(groups: list[list[StyleStack]], num_codes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Constant matrices mapping batch rows to per-(group, layer) means.
-
-    Rows are ordered stack-major, layer-minor. Returns (avg, expand,
-    row_weights, num_terms) where avg @ S gives term means, expand @ means
-    broadcasts them back to rows, and row_weights carries the per-row
-    contrastive coefficient determined by its group size.
-    """
-    b = sum(len(g) for g in groups) * num_codes
-    num_terms = len(groups) * num_codes
-    avg = np.zeros((num_terms, b))
-    expand = np.zeros((b, num_terms))
-    weights = np.zeros(b)
-    stack_offset = 0
-    for gi, group in enumerate(groups):
-        n = len(group)
-        for layer in range(num_codes):
-            term = gi * num_codes + layer
-            rows = stack_offset * num_codes + layer + num_codes * np.arange(n)
-            avg[term, rows] = 1.0 / n
-            expand[rows, term] = 1.0
-        weights[stack_offset * num_codes : (stack_offset + n) * num_codes] = 0.0 if n == 1 else 2.0 / (n - 1)
-        stack_offset += n
-    return avg, expand, weights, num_terms
-
-
 def batch_loss_graph(
     model: FlowModel, groups: list[list[StyleStack]], cfg: LossConfig
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Differentiable (total, mean NLL, mean contrastive) for one batch of
-    identity groups. The contrastive term is averaged over every
-    (group, layer) pair; NLL is averaged over stacks."""
+    """(total, mean NLL, mean contrastive) for one batch of identity groups.
+    The contrastive term is averaged over every (group, layer) pair; NLL is
+    averaged over stacks. ``total`` is one tape node whose parents are
+    ``model.parameters()``, with the closed-form gradient of the loss head
+    fed through ``packed_backward``."""
     if cfg.prior != model.prior:
         raise ConfigError("loss prior differs from the model's prior snapshot")
     if not groups or any(not g for g in groups):
@@ -102,35 +78,52 @@ def batch_loss_graph(
         if st.labels.shape != (m,):
             raise DimensionError(f"stack labels have shape {st.labels.shape}, expected ({m},)")
     num_stacks = len(stacks)
+    num_terms = len(groups) * k
 
     codes = np.concatenate([st.codes for st in stacks], axis=0)
     cond = np.tile(np.eye(k), (num_stacks, 1))
     labels = np.repeat(np.stack([st.labels for st in stacks]), k, axis=0)
 
-    z, logdet = to_latent_t(model, Tensor(codes), cond)
-    c = ad.take_cols(z, np.arange(m))
-    s = ad.take_cols(z, np.arange(m, n))
+    kept = [] if ad.grad_enabled() else None
+    state = packed_forward(model, codes, cond, kept)
+    c, s, logdet = state[:, :m], state[:, m:n], state[:, n]
 
     var = cfg.prior.sigma**2
     const = -0.5 * m * (LOG_2PI + math.log(var)) - 0.5 * (n - m) * LOG_2PI
-    dc = c - Tensor(labels)
-    log_p = const - ad.asum(dc * dc, axis=1) * (0.5 / var) - ad.asum(s * s, axis=1) * 0.5
-    nll_mean = ad.asum(-(log_p + logdet)) * (1.0 / num_stacks)
+    dc = c - labels
+    log_p = const - np.sum(dc * dc, axis=1) * (0.5 / var) - np.sum(s * s, axis=1) * 0.5
+    nll_mean = -np.sum(log_p + logdet) / num_stacks
 
-    avg, expand, weights, num_terms = _group_rows(groups, k)
-    if not cfg.normalize_groups:
-        # unnormalized row weight is 2n for a group of size n
-        sizes = np.repeat([len(g) for g in groups], [len(g) * k for g in groups]).astype(np.float64)
-        weights = 2.0 * sizes
-    mean_rows = ad.matmul(Tensor(expand), ad.matmul(Tensor(avg), s))
-    d = s - mean_rows
-    rowsq = ad.asum(d * d, axis=1)
-    contrast_mean = ad.asum(rowsq * Tensor(weights)) * (1.0 / num_terms)
+    # rows are stack-major, layer-minor, so each group is one contiguous
+    # block of size * k rows and its per-layer means are a reshape and a mean
+    d = np.empty_like(s)
+    w = np.empty((s.shape[0], 1))  # each row's contrastive weight
+    start = 0
+    for size in (len(g) for g in groups):
+        rows = slice(start, start + size * k)
+        block = s[rows].reshape(size, k, -1)
+        d[rows] = (block - block.mean(axis=0)).reshape(size * k, -1)
+        if cfg.normalize_groups:
+            w[rows] = 0.0 if size == 1 else 2.0 / (size - 1)
+        else:
+            w[rows] = 2.0 * size
+        start += size * k
+    contrast_mean = np.sum(w * d * d) / num_terms
 
-    if cfg.lambda_contrastive == 0.0:
-        total = nll_mean
-    else:
-        total = nll_mean + cfg.lambda_contrastive * contrast_mean
-    if not np.isfinite(total.data):
+    lam = cfg.lambda_contrastive
+    total = nll_mean + lam * contrast_mean if lam != 0.0 else nll_mean
+    if not np.isfinite(total):
         raise NumericError("non-finite batch loss")
-    return total, nll_mean, contrast_mean
+
+    def grad_fn(g_out):
+        # per row: d/dc = (c - label) / (var N), d/ds = s / N plus the
+        # contrastive w 2 (s - group mean) / terms (the group mean's own
+        # gradient sums to zero), d/dlogdet = -1 / N
+        g_state = np.empty_like(state)
+        g_state[:, :m] = dc * (1.0 / (var * num_stacks))
+        g_state[:, m:n] = s * (1.0 / num_stacks) + d * w * (2.0 * lam / num_terms)
+        g_state[:, n] = -1.0 / num_stacks
+        g_state *= g_out
+        return packed_backward(model, g_state, cond, kept)
+
+    return ad.record(np.array(total), tuple(model.parameters()), grad_fn), Tensor(nll_mean), Tensor(contrast_mean)

@@ -2,10 +2,10 @@
 
 A tiny tape: every ``Tensor`` produced by an operation keeps references to
 its parents and a closure that turns the output gradient into parent
-gradients. The op set covers what the losses and MLPs need; the flow records
-one hand-differentiated node per coupling through ``record``. All data is
-float64 numpy. Gradients are verified against central finite
-differences (see ``finite_diff_gradient``), which is the binding contract.
+gradients. Each training objective (the flow loss, a probe step) is one
+hand-differentiated node made through ``record``. All data is float64
+numpy. Gradients are verified against central finite differences (see
+``finite_diff_gradient``), which is the binding contract.
 """
 
 from __future__ import annotations
@@ -17,6 +17,14 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from ..errors import ConfigError, DimensionError, NumericError
+
+# the last row is the tape's generic op set: it backs Tensor's operators, and
+# no training path records it, but perfbench/spans.py resolves it by name
+__all__ = [
+    "Tensor", "parameter", "record", "grad_enabled", "no_grad", "backward", "zero_grads",
+    "gradient", "finite_diff_gradient", "flatten_arrays", "leaky_relu_array", "leaky_relu_derivative",
+    "add", "sub", "mul", "neg", "matmul", "exp", "log", "tanh", "leaky_relu", "asum", "take_cols", "concat_cols",
+]  # fmt: skip
 
 
 class _GradMode(threading.local):
@@ -56,18 +64,11 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._grad_fn: Callable[[np.ndarray], tuple] | None = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data)
 
     def sum(self, axis: int | None = None) -> "Tensor":
         return asum(self, axis=axis)
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -118,7 +119,7 @@ def record(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
     """The tape node behind every operation: ``grad_fn(g)`` returns one
     gradient (or None) per parent. Records nothing under ``no_grad`` or when
     no parent requires a gradient. Hand-differentiated operations, such as
-    the flow's fused coupling, call it directly."""
+    the flow loss and a probe step, call it directly."""
     if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out = Tensor(data, requires_grad=True)
         out._parents = parents

@@ -1,4 +1,5 @@
-"""Small dense multilayer perceptrons on top of the autodiff tape."""
+"""Small dense multilayer perceptrons on plain arrays, with a hand-derived
+backward."""
 
 from __future__ import annotations
 
@@ -6,40 +7,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DimensionError, NumericError
+from ..errors import DimensionError, NumericError
 from . import autodiff as ad
 from .autodiff import Tensor
 
 LEAKY_SLOPE = 0.01
 
-_ACTIVATIONS = {
-    "leaky_relu": lambda x: ad.leaky_relu(x, LEAKY_SLOPE),
-    "tanh": ad.tanh,
-}
-
-# the same activations on plain arrays, for hand-differentiated callers:
-# (forward(pre) -> post, backward(g, pre, post) scaling ``g`` in place)
-ACTIVATION_ARRAYS = {
-    "leaky_relu": (
-        lambda a: ad.leaky_relu_array(a, LEAKY_SLOPE),
-        lambda g, pre, post: np.multiply(g, ad.leaky_relu_derivative(pre, LEAKY_SLOPE), out=g),
-    ),
-    "tanh": (np.tanh, lambda g, pre, post: np.multiply(g, 1.0 - post * post, out=g)),
-}
-
 
 @dataclass
 class Mlp:
-    """Weights/biases are trainable tape leaves; hidden activation by name,
-    output layer always linear. Weight layout is (in_dim, out_dim)."""
+    """Weights/biases are trainable leaves (Adam reads their ``grad``);
+    hidden layers use leaky ReLU, the output layer is linear. Weight layout
+    is (in_dim, out_dim)."""
 
     weights: list[Tensor]
     biases: list[Tensor]
-    activation: str = "leaky_relu"
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
         if len(self.weights) != len(self.biases) or not self.weights:
             raise DimensionError("weights and biases must be non-empty lists of equal length")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -59,39 +43,49 @@ class Mlp:
         return self.weights[-1].data.shape[1]
 
     def parameters(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [p for layer in zip(self.weights, self.biases) for p in layer]
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Graph-building forward on a (batch, in_dim) tensor."""
-        if x.data.ndim != 2 or x.data.shape[1] != self.in_dim:
-            raise DimensionError(f"expected input (*, {self.in_dim}), got {x.data.shape}")
-        act = _ACTIVATIONS[self.activation]
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.matmul(h, w) + b
-            if i < last:
-                h = act(h)
+    def forward(self, x: np.ndarray, kept: list | None = None) -> np.ndarray:
+        """Outputs for a (batch, in_dim) array; with ``kept``, stores what
+        ``backward`` needs."""
+        if x.ndim != 2 or x.shape[1] != self.in_dim:
+            raise DimensionError(f"expected input (*, {self.in_dim}), got {x.shape}")
+        if kept is not None:
+            kept.append(x)
+        return self.rest(x @ self.weights[0].data + self.biases[0].data, kept)
+
+    def rest(self, h: np.ndarray, kept: list | None = None) -> np.ndarray:
+        """Run on from the first layer's pre-activation ``h``; with ``kept``,
+        append each hidden layer's (pre-activation, activation)."""
+        for w, b in zip(self.weights[1:], self.biases[1:]):
+            z = ad.leaky_relu_array(h, LEAKY_SLOPE)
+            if kept is not None:
+                kept.append((h, z))
+            h = z @ w.data
+            h += b.data
         return h
 
-    def apply_batch(self, x: np.ndarray) -> np.ndarray:
-        with ad.no_grad():
-            return self.forward(Tensor(x)).data
+    def rest_backward(self, g: np.ndarray, kept: list) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Backward of ``rest``: the gradient at the first layer's
+        pre-activation, and the gradients of layers 1.. in parameter order."""
+        grads: list[np.ndarray] = []
+        for (pre, z), w in zip(reversed(kept), reversed(self.weights[1:])):
+            grads[:0] = [z.T @ g, g.sum(axis=0)]
+            g = g @ w.data.T
+            g *= ad.leaky_relu_derivative(pre, LEAKY_SLOPE)
+        return g, grads
+
+    def backward(self, g: np.ndarray, kept: list) -> list[np.ndarray]:
+        """Gradients of ``parameters()`` from the output gradient ``g`` and the
+        ``kept`` of the matching ``forward``."""
+        x, *hidden = kept
+        g, grads = self.rest_backward(g, hidden)
+        return [x.T @ g, g.sum(axis=0), *grads]
 
 
-def init_mlp(
-    dims: list[int],
-    rng: np.random.Generator,
-    activation: str = "leaky_relu",
-    zero_final: bool = False,
-    final_scale: float = 1.0,
-) -> Mlp:
+def init_mlp(dims: list[int], rng: np.random.Generator, zero_final: bool = False) -> Mlp:
     """He-style init for hidden layers; final layer zeroed (identity start)
-    or scaled-down Gaussian."""
+    or Gaussian with variance 1/fan_in."""
     if len(dims) < 2:
         raise DimensionError("an MLP needs at least input and output dimensions")
     weights, biases = [], []
@@ -101,12 +95,12 @@ def init_mlp(
         if i == last and zero_final:
             w = np.zeros((fan_in, fan_out))
         elif i == last:
-            w = rng.normal(size=(fan_in, fan_out)) * (final_scale / np.sqrt(fan_in))
+            w = rng.normal(size=(fan_in, fan_out)) * (1.0 / np.sqrt(fan_in))
         else:
             w = rng.normal(size=(fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
         weights.append(ad.parameter(w))
         biases.append(ad.parameter(np.zeros(fan_out)))
-    return Mlp(weights=weights, biases=biases, activation=activation)
+    return Mlp(weights=weights, biases=biases)
 
 
-__all__ = ["ACTIVATION_ARRAYS", "Mlp", "init_mlp", "LEAKY_SLOPE"]
+__all__ = ["Mlp", "init_mlp", "LEAKY_SLOPE"]

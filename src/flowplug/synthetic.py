@@ -70,9 +70,6 @@ class GroundTruthFactors:
     identity_emb: np.ndarray
     nuisance: np.ndarray
 
-    def concat(self) -> np.ndarray:
-        return np.concatenate([self.attrs, self.identity_emb, self.nuisance])
-
 
 def split_factors(vec: np.ndarray, cfg: SyntheticConfig) -> GroundTruthFactors:
     m, d = cfg.num_attrs, cfg.identity_dim
@@ -373,19 +370,32 @@ def load_dataset(path, ground_truth_path=None) -> SyntheticDataset:
         raise DatasetError(f"dataset header is malformed: {exc}") from exc
 
     stacks = []
+    seen: dict[tuple[int, int], int] = {}
     for ln, line in enumerate(lines[1:], start=2):
         try:
             rec = json.loads(line)
-            stacks.append(
-                StyleStack(
-                    codes=np.array(rec["codes"], dtype=np.float64),
-                    labels=np.array(rec["labels"], dtype=np.float64),
-                    identity_id=int(rec["identity_id"]),
-                    frame_id=int(rec["frame_id"]),
-                )
+            st = StyleStack(
+                codes=np.array(rec["codes"], dtype=np.float64),
+                labels=np.array(rec["labels"], dtype=np.float64),
+                identity_id=int(rec["identity_id"]),
+                frame_id=int(rec["frame_id"]),
             )
         except (json.JSONDecodeError, KeyError, ValueError, DimensionError) as exc:
             raise DatasetError(f"bad dataset record on line {ln}: {exc}") from exc
+        key = (st.identity_id, st.frame_id)
+        problem = None
+        if st.codes.shape != (cfg.num_codes, cfg.code_dim):
+            problem = f"codes have shape {st.codes.shape}, header promises ({cfg.num_codes}, {cfg.code_dim})"
+        elif st.labels.shape != (cfg.num_attrs,):
+            problem = f"labels have shape {st.labels.shape}, header promises ({cfg.num_attrs},)"
+        elif not (0 <= st.identity_id < cfg.num_identities and 0 <= st.frame_id < cfg.frames_per_identity):
+            problem = f"(identity_id, frame_id) {key} is outside {cfg.num_identities} identities x {cfg.frames_per_identity} frames"
+        elif key in seen:
+            problem = f"(identity_id, frame_id) {key} repeats line {seen[key]}"
+        if problem is not None:
+            raise DatasetError(f"bad dataset record on line {ln}: {problem}")
+        seen[key] = ln
+        stacks.append(st)
     if len(stacks) != cfg.num_identities * cfg.frames_per_identity:
         raise DatasetError(
             f"dataset has {len(stacks)} frames, header promises {cfg.num_identities * cfg.frames_per_identity}"

@@ -28,6 +28,7 @@ from .synthetic import SyntheticDataset, _derive_seeds, dataset_fingerprint
 log = logging.getLogger(__name__)
 
 CHECKPOINT_FORMAT = "flowplug-ckpt-v1"
+MLP_ACTIVATION = "leaky_relu"  # v1 names it per net; Mlp has no other
 
 
 @dataclass(frozen=True)
@@ -190,15 +191,16 @@ def save_loss_trace(trace: list[TraceRow], path) -> None:
 
 
 def _mlp_to_dict(net: Mlp) -> dict:
-    layers = []
-    for w, b in zip(net.weights, net.biases):
-        layers.append(
-            {"shape": list(w.data.shape), "weight": w.data.tolist(), "bias": b.data.tolist()}
-        )
-    return {"activation": net.activation, "layers": layers}
+    layers = [
+        {"shape": list(w.data.shape), "weight": w.data.tolist(), "bias": b.data.tolist()}
+        for w, b in zip(net.weights, net.biases)
+    ]
+    return {"activation": MLP_ACTIVATION, "layers": layers}
 
 
 def _mlp_from_dict(data: dict) -> Mlp:
+    if data["activation"] != MLP_ACTIVATION:
+        raise CorruptCheckpointError(f"unknown net activation {data['activation']!r}")
     weights, biases = [], []
     for i, layer in enumerate(data["layers"]):
         w = np.array(layer["weight"], dtype=np.float64)
@@ -208,7 +210,7 @@ def _mlp_from_dict(data: dict) -> Mlp:
         weights.append(parameter(w))
         biases.append(parameter(b))
     try:
-        return Mlp(weights=weights, biases=biases, activation=data["activation"])
+        return Mlp(weights=weights, biases=biases)
     except DimensionError as exc:
         raise CheckpointShapeError(str(exc)) from exc
 

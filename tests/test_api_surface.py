@@ -1,6 +1,7 @@
-"""The public surface stays what is used: every exported name resolves, and
+"""The public surface stays what is used: every exported name resolves,
 every public top-level function or class is exported or used elsewhere in
-the package, so helpers with no caller do not accumulate."""
+the package, and every private top-level function has a caller in the
+package, so helpers with no caller do not accumulate."""
 
 import ast
 from pathlib import Path
@@ -40,24 +41,44 @@ def _referenced(node: ast.AST) -> set[str]:
     return out
 
 
-def test_every_public_definition_is_exported_or_used():
+def _top_level_units():
+    """(exported names, per-statement units, top-level definitions): a unit
+    is ((module, name) or None, names the statement refers to), and each
+    definition is (module, name, is_function)."""
     exported: set[str] = set()
-    # (module, name) -> names the top-level statement defining it refers to;
-    # every other top-level statement counts as its own unit
-    units: list[tuple[str | None, set[str]]] = []
-    public: list[tuple[str, str]] = []
+    units: list[tuple[tuple[str, str] | None, set[str]]] = []
+    defs: list[tuple[str, str, bool]] = []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         exported |= _all_names(tree)
         rel = str(path.relative_to(PACKAGE))
         for node in tree.body:
             name = getattr(node, "name", None) if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
-            if name is not None and not name.startswith("_"):
-                public.append((rel, name))
+            if name is not None:
+                defs.append((rel, name, isinstance(node, ast.FunctionDef)))
             units.append(((rel, name) if name else None, _referenced(node)))
+    return exported, units, defs
+
+
+def _used_elsewhere(units, rel: str, name: str) -> bool:
+    return any(key != (rel, name) and name in refs for key, refs in units)
+
+
+def test_every_public_definition_is_exported_or_used():
+    exported, units, defs = _top_level_units()
     unused = [
         f"{rel}:{name}"
-        for rel, name in public
-        if name not in exported and not any(key != (rel, name) and name in refs for key, refs in units)
+        for rel, name, _ in defs
+        if not name.startswith("_") and name not in exported and not _used_elsewhere(units, rel, name)
     ]
     assert not unused, f"public definitions with no export and no caller: {unused}"
+
+
+def test_every_private_function_has_a_caller():
+    _, units, defs = _top_level_units()
+    unused = [
+        f"{rel}:{name}"
+        for rel, name, is_function in defs
+        if is_function and name.startswith("_") and not _used_elsewhere(units, rel, name)
+    ]
+    assert not unused, f"private functions with no caller in the package: {unused}"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
+from flowplug import evaluation
 from flowplug.errors import DatasetError, DimensionError, UndefinedResultError
 from flowplug.evaluation import (
     EvalConfig,
@@ -21,6 +22,7 @@ from flowplug.evaluation import (
     train_probe,
 )
 from flowplug.flow import FlowConfig, build_flow
+from flowplug.numerics import finite_diff_gradient, gradient, init_mlp
 from flowplug.prior import PriorConfig
 from flowplug.synthetic import (
     MockBackbone,
@@ -146,6 +148,32 @@ class TestProbe:
         assert np.array_equal(a.holdout_accuracy, b.holdout_accuracy)
         for wa, wb in zip(a.net.parameters(), b.net.parameters()):
             assert np.array_equal(wa.data, wb.data)
+
+    def test_each_probe_step_records_one_tape_node(self, monkeypatch):
+        real_backward = evaluation.backward
+        losses = []
+
+        def spy(loss):
+            losses.append(loss)
+            real_backward(loss)
+
+        monkeypatch.setattr(evaluation, "backward", spy)
+        probe = train_probe(generate_dataset(SMALL, seed=5), ProbeConfig(epochs=2, batch_size=64, seed=0))
+        assert len(losses) == 2 * 5  # 320 training rows in batches of 64
+        params = tuple(probe.net.parameters())
+        for loss in losses:
+            assert loss._parents == params and all(not p._parents for p in params)
+
+    @pytest.mark.parametrize("hidden", [(), (7,), (6, 5)], ids=["linear", "one_hidden", "two_hidden"])
+    def test_probe_gradient_matches_finite_differences(self, hidden):
+        rng = np.random.default_rng(len(hidden))
+        net = init_mlp([5, *hidden, 3], rng)
+        for p in net.parameters():
+            p.data = p.data + 0.3 * rng.normal(size=p.data.shape)
+        x, y = rng.normal(size=(9, 5)), rng.normal(size=(9, 3))
+        g = gradient(lambda _: evaluation._probe_loss(net, x, y), net.parameters())
+        fd = finite_diff_gradient(lambda _: evaluation._probe_loss(net, x, y), net.parameters(), step=1e-5)
+        assert (np.abs(g - fd) / np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-4)).max() <= 1e-4
 
     def test_confidence_monotone_in_score(self):
         ds = identity_dataset(SMALL, seed=6)

@@ -18,10 +18,8 @@ from flowplug.flow import (
     build_flow,
     codes_to_latents,
     latents_to_codes,
-    to_latent_t,
 )
-from flowplug.numerics import AdamOptimizer, Mlp, Tensor, finite_diff_gradient, gradient, no_grad, parameter
-from flowplug.numerics import autodiff as ad
+from flowplug.numerics import AdamOptimizer, Mlp, Tensor, finite_diff_gradient, flatten_arrays, parameter
 from flowplug.prior import PriorConfig
 
 
@@ -232,45 +230,34 @@ class TestFusedCoupling:
     @pytest.mark.parametrize("seed", range(3))
     def test_gradient_matches_finite_differences(self, seed):
         model = self.saturated_model(seed)
-        x0, _, cond = self.rows(6)
+        x, _, cond = self.rows(6)
         layer = model.layers[0]
-        s, _ = flow._scale_shift(layer, x0[:, layer.pass_idx], cond)
+        s, _ = flow._scale_shift(layer, x[:, layer.pass_idx], cond)
         assert np.mean(np.abs(s) > 0.9 * layer.scale_clamp) >= 0.5
-        x = parameter(x0)
         rng = np.random.default_rng(5)
-        wz = Tensor(rng.normal(size=(6, 7)))
-        wl = Tensor(rng.normal(size=6))
-        params = [x] + model.parameters()
+        wz = rng.normal(size=(6, 7))
+        wl = rng.normal(size=6)
 
         def loss(_):
-            z, logdet = to_latent_t(model, x, cond)
-            return ad.asum(z * z * wz) * 0.1 + ad.asum(logdet * wl)
+            state = flow.packed_forward(model, x, cond)
+            return Tensor(np.sum(state[:, :-1] ** 2 * wz) * 0.1 + np.sum(state[:, -1] * wl))
 
-        g = gradient(loss, params)
-        fd = finite_diff_gradient(loss, params, step=1e-5)
+        kept = []
+        state = flow.packed_forward(model, x, cond, kept)
+        g_state = np.concatenate([0.2 * state[:, :-1] * wz, wl[:, None]], axis=1)
+        g = flatten_arrays(flow.packed_backward(model, g_state, cond, kept))
+        fd = finite_diff_gradient(loss, model.parameters(), step=1e-5)
         err = np.abs(g - fd) / np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-4)
         assert err.max() <= 1e-4
-
-    def test_one_tape_node_per_coupling(self):
-        model = small_model(perturb=0.3)
-        x, _, cond = self.rows(5, seed=6)
-        z, _ = to_latent_t(model, Tensor(x[:, :6]), cond)
-        coupling_nodes = 0
-        node = z._parents[0]
-        while node._parents:
-            coupling_nodes += 1
-            node = node._parents[0]
-        assert coupling_nodes == len(model.layers)
 
     def test_graph_forward_equals_inference_forward_exactly(self):
         model = self.saturated_model()
         x, idx, cond = self.rows(50)
         z, logdet = codes_to_latents(model, x, idx)
-        zt, ldt = to_latent_t(model, Tensor(x), cond)
-        assert np.array_equal(zt.data, z) and np.array_equal(ldt.data, logdet)
-        with no_grad():
-            zn, ldn = to_latent_t(model, Tensor(x), cond)
-        assert np.array_equal(zn.data, z) and np.array_equal(ldn.data, logdet)
+        kept = []
+        state = flow.packed_forward(model, x, cond, kept)
+        assert len(kept) == len(model.layers)
+        assert np.array_equal(state[:, :-1], z) and np.array_equal(state[:, -1], logdet)
 
     def test_inverse_round_trip_within_1e_12(self):
         model = self.saturated_model()
@@ -296,8 +283,11 @@ class TestFusedCoupling:
         opt = AdamOptimizer(model.parameters())
         params_before = [p.data for p in model.parameters()]
         opt.zero_grad()
-        z, logdet = to_latent_t(model, Tensor(x), cond)
-        ad.backward(ad.asum(z * z) + ad.asum(logdet))
+        kept = []
+        state = flow.packed_forward(model, x, cond, kept)
+        g_state = np.concatenate([2.0 * state[:, :-1], np.ones((x.shape[0], 1))], axis=1)
+        for p, g in zip(model.parameters(), flow.packed_backward(model, g_state, cond, kept)):
+            p.grad = g
         opt.step()
         assert all(p.data is a for p, a in zip(model.parameters(), params_before))
         stepped, _ = codes_to_latents(model, x, idx)

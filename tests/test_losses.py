@@ -1,5 +1,9 @@
 """Loss contracts: NLL reduction to the prior at identity init, the
-contrastive mean-form identity, and differentiability of the total."""
+contrastive mean-form identity, and the closed-form gradient of the total
+against finite differences and a fixture from the earlier tape-built loss."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,9 @@ from flowplug.flow import FlowConfig, StyleStack, build_flow, codes_to_latents
 from flowplug.losses import LossConfig, batch_loss_graph, contrastive_loss
 from flowplug.numerics import finite_diff_gradient, gradient, no_grad
 from flowplug.prior import LatentPair, PriorConfig, log_prior
+from flowplug.training import load_checkpoint
+
+DATA = Path(__file__).parent / "data"
 
 
 def identity_model(num_attrs=2, latent_dim=6, num_codes=2, seed=0):
@@ -211,3 +218,65 @@ class TestTotalLoss:
         fd = finite_diff_gradient(loss, model.parameters(), step=1e-5)
         err = np.abs(g - fd) / np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-4)
         assert err.max() <= 1e-4
+
+    @pytest.mark.parametrize(
+        "lam, normalize", [(1.0, False), (0.0, True), (1.0, True)], ids=["unnormalized", "lambda_zero", "normalized"]
+    )
+    def test_gradient_matches_finite_differences_on_mixed_group_sizes(self, lam, normalize):
+        # groups of 7, 1 and 3 frames; the singleton's contrastive weight is 0
+        model = identity_model()
+        rng = np.random.default_rng(11)
+        for p in model.parameters():
+            p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
+        groups = [[make_stack(rng, model, gid, i) for i in range(size)] for gid, size in enumerate((7, 1, 3))]
+        cfg = LossConfig(prior=model.prior, lambda_contrastive=lam, normalize_groups=normalize)
+
+        def loss(_):
+            total, _, _ = batch_loss_graph(model, groups, cfg)
+            return total
+
+        g = gradient(loss, model.parameters())
+        fd = finite_diff_gradient(loss, model.parameters(), step=1e-5)
+        err = np.abs(g - fd) / np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-4)
+        assert err.max() <= 1e-4
+
+    def test_loss_records_one_tape_node(self):
+        model = identity_model()
+        rng = np.random.default_rng(12)
+        groups = [[make_stack(rng, model, 0, i) for i in range(3)], [make_stack(rng, model, 1, 0)]]
+        total, nll_mean, contrast_mean = batch_loss_graph(model, groups, LossConfig(prior=model.prior))
+        params = tuple(model.parameters())
+        assert total._parents == params and all(not p._parents for p in params)
+        assert not (nll_mean.requires_grad or contrast_mean.requires_grad)
+        with no_grad():
+            assert not batch_loss_graph(model, groups, LossConfig(prior=model.prior))[0].requires_grad
+
+    def test_reproduces_the_tape_built_loss_on_a_v1_checkpoint(self):
+        """tests/data/loss_grad_v1_small.json holds the loss values and the
+        flat gradient the tape-built loss head gave for fixed batches on
+        checkpoint_v1_small.json."""
+        model = load_checkpoint(DATA / "checkpoint_v1_small.json").model
+        ref = json.loads((DATA / "loss_grad_v1_small.json").read_text())
+        groups = [
+            [StyleStack(np.array(r["codes"]), np.array(r["labels"]), r["identity_id"], r["frame_id"]) for r in g]
+            for g in ref["groups"]
+        ]
+        assert [len(g) for g in groups] == [7, 1, 3]
+        for case in ref["cases"]:
+            cfg = LossConfig(
+                prior=model.prior,
+                lambda_contrastive=case["lambda_contrastive"],
+                normalize_groups=case["normalize_groups"],
+            )
+            values = {}
+
+            def loss(_):
+                total, nll_mean, contrast_mean = batch_loss_graph(model, groups, cfg)
+                values.update(total=total.item(), nll=nll_mean.item(), contrast=contrast_mean.item())
+                return total
+
+            g = gradient(loss, model.parameters())
+            for key in ("total", "nll", "contrast"):
+                assert abs(values[key] - case[key]) <= 1e-12 * abs(case[key])
+            want = np.array(case["gradient"])
+            assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()

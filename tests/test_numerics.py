@@ -13,6 +13,7 @@ from flowplug.numerics import (
     Tensor,
     adam_step,
     finite_diff_gradient,
+    flatten_arrays,
     gradient,
     init_mlp,
     parameter,
@@ -30,27 +31,39 @@ def rel_err(a, b, floor=1e-4):
 class TestMlpApply:
     def test_identity_layer(self):
         net = Mlp(weights=[parameter(np.eye(2))], biases=[parameter(np.zeros(2))])
-        assert np.array_equal(net.apply_batch(np.array([[1.0, 2.0]])), [[1.0, 2.0]])
+        assert np.array_equal(net.forward(np.array([[1.0, 2.0]])), [[1.0, 2.0]])
 
     def test_scaled_layer_with_bias(self):
         net = Mlp(weights=[parameter(2.0 * np.eye(2))], biases=[parameter(np.ones(2))])
-        assert np.array_equal(net.apply_batch(np.array([[1.0, 2.0]])), [[3.0, 5.0]])
+        assert np.array_equal(net.forward(np.array([[1.0, 2.0]])), [[3.0, 5.0]])
 
     def test_all_zero_annihilates(self):
         net = Mlp(weights=[parameter(np.zeros((3, 4)))], biases=[parameter(np.zeros(4))])
-        assert np.array_equal(net.apply_batch(np.array([[5.0, -1.0, 2.0]])), np.zeros((1, 4)))
+        assert np.array_equal(net.forward(np.array([[5.0, -1.0, 2.0]])), np.zeros((1, 4)))
 
     def test_dimension_mismatch_rejected(self):
         net = init_mlp([3, 4], np.random.default_rng(0))
         with pytest.raises(DimensionError):
-            net.apply_batch(np.zeros((1, 5)))
+            net.forward(np.zeros((1, 5)))
+
+    def test_two_layer_closed_form(self):
+        # hidden pre-activations [1, -2] -> leaky ReLU [1, -0.02] -> sum
+        net = Mlp(
+            weights=[parameter(np.array([[1.0, -2.0]])), parameter(np.ones((2, 1)))],
+            biases=[parameter(np.zeros(2)), parameter(np.array([0.5]))],
+        )
+        kept = []
+        assert np.array_equal(net.forward(np.array([[1.0]]), kept), [[1.0 - 0.02 + 0.5]])
+        g_w0, g_b0, g_w1, g_b1 = net.backward(np.array([[1.0]]), kept)
+        assert np.array_equal(g_w0, [[1.0, 0.01]]) and np.array_equal(g_b0, [1.0, 0.01])
+        assert np.array_equal(g_w1, [[1.0], [-0.02]]) and np.array_equal(g_b1, [1.0])
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         net = init_mlp([4, 8, 2], rng)
         x = rng.normal(size=(3, 4))
-        a = net.apply_batch(x)
-        b = net.apply_batch(x)
+        a = net.forward(x)
+        b = net.forward(x)
         assert np.array_equal(a, b)
 
     def test_chain_mismatch_rejected(self):
@@ -96,10 +109,10 @@ class TestGradient:
         scale = 1.0 / (3 * dims[-1])
 
         def loss(_):
-            d = net.forward(Tensor(x)) - Tensor(t)
-            return ad.asum(d * d) * scale
+            return Tensor(np.sum((net.forward(x) - t) ** 2) * scale)
 
-        g = gradient(loss, net.parameters())
+        kept = []
+        g = flatten_arrays(net.backward((net.forward(x, kept) - t) * (2.0 * scale), kept))
         fd = finite_diff_gradient(loss, net.parameters(), step=1e-5)
         assert rel_err(g, fd).max() <= 1e-4
 

@@ -189,6 +189,48 @@ class TestSerialization:
         with pytest.raises(DatasetError):
             load_dataset(path)
 
+    @staticmethod
+    def with_third_line_edited(tmp_path, edit):
+        """A saved SMALL dataset whose third line (the second record) went
+        through ``edit(record, first_record)``."""
+        path = tmp_path / "ds.jsonl"
+        save_dataset(generate_dataset(SMALL, seed=12), path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        edit(rec, json.loads(lines[1]))
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_codes_shape_must_match_the_header(self, tmp_path):
+        def drop_last_column(rec, _):
+            rec["codes"] = [row[:-1] for row in rec["codes"]]
+
+        with pytest.raises(DatasetError, match=r"line 3: codes have shape \(3, 9\), header promises \(3, 10\)"):
+            load_dataset(self.with_third_line_edited(tmp_path, drop_last_column))
+
+    def test_label_length_must_match_the_header(self, tmp_path):
+        def drop_last_label(rec, _):
+            rec["labels"] = rec["labels"][:-1]
+
+        with pytest.raises(DatasetError, match=r"line 3: labels have shape \(1,\), header promises \(2,\)"):
+            load_dataset(self.with_third_line_edited(tmp_path, drop_last_label))
+
+    @pytest.mark.parametrize("field, value", [("identity_id", 8), ("frame_id", -1)])
+    def test_ids_must_lie_in_the_header_range(self, tmp_path, field, value):
+        def set_id(rec, _):
+            rec[field] = value
+
+        with pytest.raises(DatasetError, match=r"line 3: \(identity_id, frame_id\) .* is outside 8 identities x 5 frames"):
+            load_dataset(self.with_third_line_edited(tmp_path, set_id))
+
+    def test_identity_frame_pairs_must_be_unique(self, tmp_path):
+        def copy_ids(rec, first):
+            rec["identity_id"], rec["frame_id"] = first["identity_id"], first["frame_id"]
+
+        with pytest.raises(DatasetError, match=r"line 3: .* repeats line 2"):
+            load_dataset(self.with_third_line_edited(tmp_path, copy_ids))
+
     def test_truncated_file_rejected(self, tmp_path):
         ds = generate_dataset(SMALL, seed=12)
         path = tmp_path / "ds.jsonl"

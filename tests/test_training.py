@@ -201,6 +201,18 @@ class TestCheckpoint:
         back, _ = latents_to_codes(model, np.array(ref["latents"]), ref["layer_indices"])
         assert np.abs(back - codes).max() <= 1e-12
 
+    @pytest.mark.parametrize("activation", ["tanh", "relu", None])
+    def test_nets_are_written_as_leaky_relu_and_nothing_else_loads(self, tmp_path, activation):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(self.make_checkpoint(), path)
+        payload = json.loads(path.read_text())
+        nets = [entry[key] for entry in payload["layers"] for key in ("scale_net", "shift_net")]
+        assert {net["activation"] for net in nets} == {"leaky_relu"}
+        payload["layers"][1]["shift_net"]["activation"] = activation
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(path)
+
     def test_truncated_file_is_corrupt(self, tmp_path):
         ckpt = self.make_checkpoint()
         path = tmp_path / "ckpt.json"
