@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
-from .numerics import Mlp, Tensor, init_mlp
+from .numerics import LEAKY_SLOPE, Mlp, Tensor, init_mlp
+from .numerics.autodiff import leaky_relu_array, leaky_relu_derivative
 from .prior import PriorConfig
 
 
@@ -125,25 +126,37 @@ def _scale_shift(layer: CouplingLayer, xp: np.ndarray, cond: np.ndarray, kept: d
     pass-through rows ``xp`` and the condition rows ``cond``.
 
     This one routine serves the training forward, the inference forward and
-    the inverse. Both nets see the same input, so their first layers run as one
-    GEMM on weights stacked at call time: parameters change in place during
-    training, so nothing derived from them is cached. The condition enters
-    as ``cond @ W0[n_pass:]``. With ``kept``, stores what the hand-derived
+    the inverse. The scale and shift nets run side by side: each layer is one
+    block ``[scale | shift]`` of rows, with one bias add and one leaky ReLU.
+    Both nets see the same input, so the first layer is one GEMM on weights
+    stacked at call time; later layers write their two GEMMs into the halves
+    of the next block. Parameters change in place during training, so
+    nothing derived from them is cached. The condition enters as
+    ``cond @ W0[n_pass:]``. With ``kept``, stores what the hand-derived
     backward needs.
     """
     n_pass = xp.shape[1]
-    nets = (layer.scale_net, layer.shift_net)
-    w0 = np.concatenate([net.weights[0].data for net in nets], axis=1)
-    a = xp @ w0[:n_pass]
-    a += cond @ w0[n_pass:]
-    a += np.concatenate([net.biases[0].data for net in nets])
-    width = layer.scale_net.weights[0].data.shape[1]
-    scale_kept, shift_kept = ([], []) if kept is not None else (None, None)
-    th = np.tanh(layer.scale_net.rest(a[:, :width], scale_kept) / layer.scale_clamp)
-    t = layer.shift_net.rest(a[:, width:], shift_kept)
+    scale, shift = layer.scale_net, layer.shift_net
+    w0 = np.concatenate([scale.weights[0].data, shift.weights[0].data], axis=1)
+    h = xp @ w0[:n_pass]
+    h += cond @ w0[n_pass:]
+    h += np.concatenate([scale.biases[0].data, shift.biases[0].data])
+    hidden = []
+    for ws, wt, bs, bt in zip(scale.weights[1:], shift.weights[1:], scale.biases[1:], shift.biases[1:]):
+        z = leaky_relu_array(h, LEAKY_SLOPE)
+        del h  # free this block before the next one is made
+        if kept is not None:
+            hidden.append(z)
+        w_in, w_out = ws.data.shape
+        h = np.empty((z.shape[0], 2 * w_out))
+        np.matmul(z[:, :w_in], ws.data, out=h[:, :w_out])
+        np.matmul(z[:, w_in:], wt.data, out=h[:, w_out:])
+        h += np.concatenate([bs.data, bt.data])
+    n_out = scale.out_dim
+    th = np.tanh(h[:, :n_out] / layer.scale_clamp)
     if kept is not None:
-        kept.update(xp=xp, w0=w0, width=width, th=th, scale=scale_kept, shift=shift_kept)
-    return layer.scale_clamp * th, t
+        kept.update(xp=xp, w0=w0, hidden=hidden, th=th)
+    return layer.scale_clamp * th, h[:, n_out:]
 
 
 def _forward_rows(layer: CouplingLayer, state: np.ndarray, cond: np.ndarray, kept: dict | None = None) -> np.ndarray:
@@ -171,17 +184,30 @@ def _backward_rows(layer: CouplingLayer, g_out: np.ndarray, cond: np.ndarray, ke
     g_raw += g_out[:, -1:]
     th = kept["th"]
     g_raw *= 1.0 - th * th  # d s / d s_raw of the soft clamp
-    g_scale, scale_grads = layer.scale_net.rest_backward(g_raw, kept["scale"])
-    g_shift, shift_grads = layer.shift_net.rest_backward(g_t, kept["shift"])
-    g_a = np.concatenate([g_scale, g_shift], axis=1)
-    g_w0 = np.concatenate([kept["xp"].T @ g_a, cond.T @ g_a])
-    g_b0 = np.sum(g_a, axis=0)
+    # walk the [scale | shift] blocks back to the first layer's pre-activation
+    g = np.concatenate([g_raw, g_t], axis=1)
+    scale, shift = layer.scale_net, layer.shift_net
+    scale_grads: list[np.ndarray] = []
+    shift_grads: list[np.ndarray] = []
+    for z, ws, wt in zip(reversed(kept["hidden"]), reversed(scale.weights[1:]), reversed(shift.weights[1:])):
+        w_in, w_out = ws.data.shape
+        g_b = g.sum(axis=0)
+        scale_grads[:0] = [z[:, :w_in].T @ g[:, :w_out], g_b[:w_out]]
+        shift_grads[:0] = [z[:, w_in:].T @ g[:, w_out:], g_b[w_out:]]
+        g_z = np.empty((g.shape[0], 2 * w_in))
+        np.matmul(g[:, :w_out], ws.data.T, out=g_z[:, :w_in])
+        np.matmul(g[:, w_out:], wt.data.T, out=g_z[:, w_in:])
+        # z > 0 exactly where its pre-activation is, so z gives the derivative
+        g_z *= leaky_relu_derivative(z, LEAKY_SLOPE)
+        g = g_z
+    g_w0 = np.concatenate([kept["xp"].T @ g, cond.T @ g])
+    g_b0 = np.sum(g, axis=0)
     g_in = None
     if want_input:
         g_in = g_out.copy()
         g_in[:, layer.trans_idx] = g_t * kept["e"]
-        g_in[:, layer.pass_idx] += g_a @ kept["w0"][: layer.pass_idx.size].T
-    width = kept["width"]
+        g_in[:, layer.pass_idx] += g @ kept["w0"][: layer.pass_idx.size].T
+    width = scale.weights[0].data.shape[1]
     return (
         g_in,
         g_w0[:, :width], g_b0[:width], *scale_grads,

@@ -5,6 +5,7 @@ share an identity, combined with a configurable weight."""
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from math import fsum
 
@@ -15,6 +16,9 @@ from .flow import FlowModel, StyleStack, packed_backward, packed_forward
 from .numerics import Tensor
 from .numerics import autodiff as ad
 from .prior import LOG_2PI, PriorConfig
+
+# runs the second row half of every split batch; one thread for the process
+_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="flowplug-half")
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,23 @@ def contrastive_loss(s_vectors: np.ndarray, normalize: bool = False) -> float:
     return value
 
 
+def _on_halves(fn, model: FlowModel, rows: np.ndarray, cond: np.ndarray, kept: tuple, cut: int | None) -> list:
+    """``fn(model, rows, cond, kept)`` over the row halves ``[:cut]``, on this
+    thread, and ``[cut:]``, on the worker, with one ``kept`` entry per half.
+    Returns both results once both calls have finished; an exception from
+    either half re-raises here, with the worker idle again. Without a
+    ``cut``, one call on this thread."""
+    if cut is None:
+        return [fn(model, rows, cond, kept[0])]
+    future = _WORKER.submit(fn, model, rows[cut:], cond[cut:], kept[1])
+    try:
+        first = fn(model, rows[:cut], cond[:cut], kept[0])
+    except BaseException:
+        wait([future])
+        raise
+    return [first, future.result()]
+
+
 def batch_loss_graph(
     model: FlowModel, groups: list[list[StyleStack]], cfg: LossConfig
 ) -> tuple[Tensor, Tensor, Tensor]:
@@ -59,7 +80,13 @@ def batch_loss_graph(
     The contrastive term is averaged over every (group, layer) pair; NLL is
     averaged over stacks. ``total`` is one tape node whose parents are
     ``model.parameters()``, with the closed-form gradient of the loss head
-    fed through ``packed_backward``."""
+    fed through ``packed_backward``.
+
+    Rows pass the flow independently, so a batch of more than one stack runs
+    as two fixed row halves: the first ceil(N/2) stacks on this thread and
+    the rest on the worker, for the forward and again for the backward. The
+    state is the halves concatenated, and each gradient is first half +
+    second half, so results do not depend on the CPU count."""
     if cfg.prior != model.prior:
         raise ConfigError("loss prior differs from the model's prior snapshot")
     if not groups or any(not g for g in groups):
@@ -84,8 +111,11 @@ def batch_loss_graph(
     cond = np.tile(np.eye(k), (num_stacks, 1))
     labels = np.repeat(np.stack([st.labels for st in stacks]), k, axis=0)
 
-    kept = [] if ad.grad_enabled() else None
-    state = packed_forward(model, codes, cond, kept)
+    # the rows of the first ceil(N/2) stacks; grad mode is thread-local, so
+    # this thread decides whether the halves keep intermediates
+    cut = (num_stacks + 1) // 2 * k if num_stacks > 1 else None
+    kept = ([], []) if ad.grad_enabled() else (None, None)
+    state = np.concatenate(_on_halves(packed_forward, model, codes, cond, kept, cut))
     c, s, logdet = state[:, :m], state[:, m:n], state[:, n]
 
     var = cfg.prior.sigma**2
@@ -124,6 +154,7 @@ def batch_loss_graph(
         g_state[:, m:n] = s * (1.0 / num_stacks) + d * w * (2.0 * lam / num_terms)
         g_state[:, n] = -1.0 / num_stacks
         g_state *= g_out
-        return packed_backward(model, g_state, cond, kept)
+        halves = _on_halves(packed_backward, model, g_state, cond, kept, cut)
+        return [a + b for a, b in zip(*halves)] if cut else halves[0]
 
     return ad.record(np.array(total), tuple(model.parameters()), grad_fn), Tensor(nll_mean), Tensor(contrast_mean)

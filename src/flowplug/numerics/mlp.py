@@ -52,11 +52,7 @@ class Mlp:
             raise DimensionError(f"expected input (*, {self.in_dim}), got {x.shape}")
         if kept is not None:
             kept.append(x)
-        return self.rest(x @ self.weights[0].data + self.biases[0].data, kept)
-
-    def rest(self, h: np.ndarray, kept: list | None = None) -> np.ndarray:
-        """Run on from the first layer's pre-activation ``h``; with ``kept``,
-        append each hidden layer's (pre-activation, activation)."""
+        h = x @ self.weights[0].data + self.biases[0].data
         for w, b in zip(self.weights[1:], self.biases[1:]):
             z = ad.leaky_relu_array(h, LEAKY_SLOPE)
             if kept is not None:
@@ -65,21 +61,15 @@ class Mlp:
             h += b.data
         return h
 
-    def rest_backward(self, g: np.ndarray, kept: list) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Backward of ``rest``: the gradient at the first layer's
-        pre-activation, and the gradients of layers 1.. in parameter order."""
-        grads: list[np.ndarray] = []
-        for (pre, z), w in zip(reversed(kept), reversed(self.weights[1:])):
-            grads[:0] = [z.T @ g, g.sum(axis=0)]
-            g = g @ w.data.T
-            g *= ad.leaky_relu_derivative(pre, LEAKY_SLOPE)
-        return g, grads
-
     def backward(self, g: np.ndarray, kept: list) -> list[np.ndarray]:
         """Gradients of ``parameters()`` from the output gradient ``g`` and the
         ``kept`` of the matching ``forward``."""
         x, *hidden = kept
-        g, grads = self.rest_backward(g, hidden)
+        grads: list[np.ndarray] = []
+        for (pre, z), w in zip(reversed(hidden), reversed(self.weights[1:])):
+            grads[:0] = [z.T @ g, g.sum(axis=0)]
+            g = g @ w.data.T
+            g *= ad.leaky_relu_derivative(pre, LEAKY_SLOPE)
         return [x.T @ g, g.sum(axis=0), *grads]
 
 

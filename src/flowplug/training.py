@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -215,9 +217,9 @@ def _mlp_from_dict(data: dict) -> Mlp:
         raise CheckpointShapeError(str(exc)) from exc
 
 
-def save_checkpoint(ckpt: Checkpoint, path) -> None:
+def _checkpoint_payload(ckpt: Checkpoint) -> dict:
     model = ckpt.model
-    payload = {
+    return {
         "format_version": CHECKPOINT_FORMAT,
         "code_dim": model.code_dim,
         "num_codes": model.num_codes,
@@ -237,9 +239,45 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             for layer in model.layers
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+
+
+def _json_pieces(value):
+    """The text of ``json.dump(value, fh, sort_keys=True)``, in pieces: dicts
+    and lists of dicts are walked here, and every other value (one weight
+    matrix at most) is encoded by ``json.dumps`` in C. The whole text is
+    never held in memory at once."""
+    if isinstance(value, dict):
+        yield "{"
+        for i, key in enumerate(sorted(value)):
+            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield from _json_pieces(value[key])
+        yield "}"
+    elif isinstance(value, list) and any(isinstance(item, dict) for item in value):
+        yield "["
+        for i, item in enumerate(value):
+            if i:
+                yield ", "
+            yield from _json_pieces(item)
+        yield "]"
+    else:
+        yield json.dumps(value, sort_keys=True)
+
+
+def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write the checkpoint as sorted-key JSON. The text goes to a temporary
+    file in the same directory, which then replaces ``path``, so a failed
+    write leaves the old file or none, never a partial one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for piece in _json_pieces(_checkpoint_payload(ckpt)):
+                fh.write(piece)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -263,9 +301,16 @@ def load_checkpoint(path) -> Checkpoint:
         code_dim = payload["code_dim"]
         num_codes = payload["num_codes"]
         layers = []
-        for entry in payload["layers"]:
+        for i, entry in enumerate(payload["layers"]):
             scale_net = _mlp_from_dict(entry["scale_net"])
             shift_net = _mlp_from_dict(entry["shift_net"])
+            # the coupling runs both nets side by side, layer for layer
+            scale_shapes = [w.data.shape for w in scale_net.weights]
+            shift_shapes = [w.data.shape for w in shift_net.weights]
+            if scale_shapes != shift_shapes:
+                raise CheckpointShapeError(
+                    f"coupling {i}: scale net layers {scale_shapes} differ from shift net layers {shift_shapes}"
+                )
             layers.append(
                 CouplingLayer(entry["mask_parity"], scale_net, shift_net, entry["scale_clamp"], code_dim)
             )

@@ -3,6 +3,7 @@ whole-pipeline reproducibility."""
 
 import json
 import logging
+import threading
 
 import pytest
 
@@ -231,3 +232,29 @@ class TestDispatch:
             ["train", "--config", config_file, "--dataset", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "t")]
         )
         assert code == 2
+
+    def test_repeated_train_calls_share_one_idle_worker(self, tmp_path, config_file, monkeypatch):
+        """Split batches run on one process-wide worker thread: repeated
+        ``train`` commands add at most one thread in total, and every half
+        handed to the worker has finished when the command returns."""
+        from flowplug import losses
+
+        data = tmp_path / "data"
+        assert dispatch(["gen-data", "--config", config_file, "--out", str(data)]) == 0
+        futures = []
+        real_submit = losses._WORKER.submit
+
+        def recording_submit(*args, **kwargs):
+            futures.append(real_submit(*args, **kwargs))
+            return futures[-1]
+
+        monkeypatch.setattr(losses._WORKER, "submit", recording_submit)
+        before = threading.active_count()
+        counts = []
+        for i in range(3):
+            argv = ["train", "--config", config_file, "--dataset", str(data / "dataset.jsonl"), "--out", str(tmp_path / f"t{i}")]
+            assert dispatch(argv) == 0
+            counts.append(threading.active_count())
+            assert futures and all(f.done() for f in futures)
+        assert counts[0] - before <= 1
+        assert counts == [counts[0]] * 3

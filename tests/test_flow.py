@@ -19,7 +19,7 @@ from flowplug.flow import (
     codes_to_latents,
     latents_to_codes,
 )
-from flowplug.numerics import AdamOptimizer, Mlp, Tensor, finite_diff_gradient, flatten_arrays, parameter
+from flowplug.numerics import AdamOptimizer, Mlp, Tensor, finite_diff_gradient, flatten_arrays, init_mlp, parameter
 from flowplug.prior import PriorConfig
 
 
@@ -207,16 +207,24 @@ class TestFusedCoupling:
     """The hand-differentiated coupling node against its oracles."""
 
     @staticmethod
-    def saturated_model(seed=0):
+    def saturated_model(seed=0, depth=3):
         # odd latent_dim: parity-0 couplings pass 4 coordinates and transform
         # 3, parity-1 couplings the reverse; a small clamp and a scaled-up
-        # final scale layer push most of s into the saturated part of the clamp
+        # final scale layer push most of s into the saturated part of the
+        # clamp. ``depth`` counts each net's weight layers; depth-1 nets are
+        # single linear layers, which build_flow does not make
         prior = PriorConfig(num_attrs=2, latent_dim=7, sigma=0.5)
-        model = build_flow(prior, 3, FlowConfig(num_couplings=3, hidden_width=8, scale_clamp=0.5), seed)
+        cfg = FlowConfig(num_couplings=3, hidden_width=8, hidden_layers=max(depth - 1, 1), scale_clamp=0.5)
+        model = build_flow(prior, 3, cfg, seed)
         rng = np.random.default_rng(seed + 1)
+        if depth == 1:
+            for layer in model.layers:
+                dims = [layer.pass_idx.size + 3, layer.trans_idx.size]
+                layer.scale_net, layer.shift_net = init_mlp(dims, rng), init_mlp(dims, rng)
         for p in model.parameters():
             p.data = p.data + 0.4 * rng.normal(size=p.data.shape)
         for layer in model.layers:
+            assert len(layer.scale_net.weights) == depth
             for p in (layer.scale_net.weights[-1], layer.scale_net.biases[-1]):
                 p.data = 3.0 * p.data
         return model
@@ -227,9 +235,8 @@ class TestFusedCoupling:
         idx = rng.integers(0, 3, size=num)
         return rng.normal(size=(num, 7)), idx, np.eye(3)[idx]
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_gradient_matches_finite_differences(self, seed):
-        model = self.saturated_model(seed)
+    def check_gradient_matches_finite_differences(self, seed, depth):
+        model = self.saturated_model(seed, depth)
         x, _, cond = self.rows(6)
         layer = model.layers[0]
         s, _ = flow._scale_shift(layer, x[:, layer.pass_idx], cond)
@@ -250,14 +257,44 @@ class TestFusedCoupling:
         err = np.abs(g - fd) / np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-4)
         assert err.max() <= 1e-4
 
-    def test_graph_forward_equals_inference_forward_exactly(self):
-        model = self.saturated_model()
+    def check_graph_forward_equals_inference_forward_exactly(self, depth):
+        model = self.saturated_model(depth=depth)
         x, idx, cond = self.rows(50)
         z, logdet = codes_to_latents(model, x, idx)
         kept = []
         state = flow.packed_forward(model, x, cond, kept)
         assert len(kept) == len(model.layers)
         assert np.array_equal(state[:, :-1], z) and np.array_equal(state[:, -1], logdet)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradient_matches_finite_differences(self, seed):
+        self.check_gradient_matches_finite_differences(seed, depth=3)
+
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_gradient_matches_finite_differences_at_other_depths(self, seed, depth):
+        self.check_gradient_matches_finite_differences(seed, depth)
+
+    def test_graph_forward_equals_inference_forward_exactly(self):
+        self.check_graph_forward_equals_inference_forward_exactly(depth=3)
+
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    def test_graph_forward_equals_inference_forward_exactly_at_other_depths(self, depth):
+        self.check_graph_forward_equals_inference_forward_exactly(depth)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_fused_nets_match_each_net_run_alone(self, depth):
+        """The side-by-side (s, t) kernel against ``Mlp.forward`` of each
+        net on ``[xp | cond]``, then the soft clamp for s."""
+        model = self.saturated_model(depth=depth)
+        x, _, cond = self.rows(40)
+        for layer in model.layers:
+            xp = x[:, layer.pass_idx]
+            s, t = flow._scale_shift(layer, xp, cond)
+            inputs = np.concatenate([xp, cond], axis=1)
+            s_ref = layer.scale_clamp * np.tanh(layer.scale_net.forward(inputs) / layer.scale_clamp)
+            assert np.abs(s - s_ref).max() <= 1e-12
+            assert np.abs(t - layer.shift_net.forward(inputs)).max() <= 1e-12
 
     def test_inverse_round_trip_within_1e_12(self):
         model = self.saturated_model()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from flowplug.errors import DimensionError
 from flowplug.flow import FlowConfig, StyleStack, build_flow, codes_to_latents
 from flowplug.losses import LossConfig, batch_loss_graph, contrastive_loss
-from flowplug.numerics import finite_diff_gradient, gradient, no_grad
+from flowplug.numerics import finite_diff_gradient, flatten_arrays, gradient, no_grad
 from flowplug.prior import LatentPair, PriorConfig, log_prior
 from flowplug.training import load_checkpoint
 
@@ -239,6 +239,46 @@ class TestTotalLoss:
         fd = finite_diff_gradient(loss, model.parameters(), step=1e-5)
         err = np.abs(g - fd) / np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-4)
         assert err.max() <= 1e-4
+
+    def test_split_gradient_is_first_half_plus_second_half(self, monkeypatch):
+        """Groups of 7, 1 and 3 stacks split after the 6th stack; under rapid
+        thread switching every gradient is the calling thread's half plus the
+        worker's half, in that order, bit for bit."""
+        import sys
+        import threading
+
+        from flowplug import losses
+
+        model = identity_model()
+        rng = np.random.default_rng(13)
+        for p in model.parameters():
+            p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
+        groups = [[make_stack(rng, model, gid, i) for i in range(size)] for gid, size in enumerate((7, 1, 3))]
+        cfg = LossConfig(prior=model.prior)
+        calls = []
+        real_backward = losses.packed_backward
+
+        def recording(model_, g_rows, cond, kept):
+            calls.append((threading.current_thread() is not threading.main_thread(), g_rows.copy(), cond, kept))
+            return real_backward(model_, g_rows, cond, kept)
+
+        monkeypatch.setattr(losses, "packed_backward", recording)
+
+        def loss(_):
+            return batch_loss_graph(model, groups, cfg)[0]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            grads = [gradient(loss, model.parameters()) for _ in range(20)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 40
+        first, second = sorted(calls[:2], key=lambda call: call[0])
+        assert first[1].shape[0] == 6 * model.num_codes and second[1].shape[0] == 5 * model.num_codes
+        halves = [real_backward(model, g_rows, cond, kept) for _, g_rows, cond, kept in (first, second)]
+        want = flatten_arrays([a + b for a, b in zip(*halves)])
+        assert all(np.array_equal(g, want) for g in grads)
 
     def test_loss_records_one_tape_node(self):
         model = identity_model()

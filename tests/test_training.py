@@ -1,7 +1,10 @@
 """Training loop: batch construction, determinism, loss decrease, and the
 versioned checkpoint format."""
 
+import dataclasses
+import io
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +153,59 @@ class TestTrain:
         save_checkpoint(ckpt_b, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
+    def test_split_batches_train_to_the_same_parameters_every_time(self):
+        # groups of 4 and 2 frames give batches with odd stack counts, so the
+        # two row halves differ in size
+        ds = generate_dataset(SMALL_DS, seed=8)
+        cfg = small_train_config(epochs=2, frames_per_group=4)
+        ckpt_a, _ = train(ds, cfg)
+        ckpt_b, _ = train(ds, cfg)
+        for a, b in zip(ckpt_a.model.parameters(), ckpt_b.model.parameters()):
+            assert np.array_equal(a.data, b.data)
+
+    def test_non_finite_codes_in_the_second_half_are_located(self, monkeypatch):
+        """One stack of epoch 1's batch 1, the last of its last group, sits in
+        the row half the worker runs; its overflow still names the batch."""
+        import flowplug.training as training
+
+        real_make_batches = training.make_batches
+        epochs = []
+
+        def poisoned(ds, cfg, rng):
+            batches = real_make_batches(ds, cfg, rng)
+            epochs.append(len(epochs))
+            if epochs[-1] == 1:
+                group = batches[1][-1]
+                group[-1] = dataclasses.replace(group[-1], codes=np.full_like(group[-1].codes, 1e308))
+            return batches
+
+        monkeypatch.setattr(training, "make_batches", poisoned)
+        ds = generate_dataset(SMALL_DS, seed=6)
+        with pytest.warns(RuntimeWarning), pytest.raises(TrainingDivergedError, match="non-finite loss at epoch 1, batch 1"):
+            train(ds, small_train_config(epochs=2))
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [("packed_forward", "non-finite loss at epoch 0, batch 0"), ("packed_backward", "non-finite gradient at epoch 0, batch 0")],
+    )
+    def test_error_raised_on_the_worker_reraises_in_train(self, monkeypatch, target, message):
+        import flowplug.losses as losses
+        from flowplug.errors import NumericError
+
+        real = getattr(losses, target)
+
+        def failing_on_worker(model, rows, cond, kept):
+            # the baseline loss keeps nothing; only training halves fail
+            if kept is not None and threading.current_thread() is not threading.main_thread():
+                raise NumericError("injected on the worker")
+            return real(model, rows, cond, kept)
+
+        monkeypatch.setattr(losses, target, failing_on_worker)
+        ds = generate_dataset(SMALL_DS, seed=6)
+        with pytest.raises(TrainingDivergedError, match=message):
+            train(ds, small_train_config(epochs=1))
+        assert losses._WORKER.submit(threading.get_ident).result(timeout=10) != threading.get_ident()
+
     def test_dimension_mismatch_rejected(self):
         ds = generate_dataset(SMALL_DS, seed=9)
         bad = small_train_config(loss=LossConfig(prior=PriorConfig(num_attrs=2, latent_dim=12, sigma=0.5)))
@@ -249,6 +305,69 @@ class TestCheckpoint:
         first["shape"][0] -= 1
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointShapeError):
+            load_checkpoint(path)
+
+    def test_text_is_what_json_dump_wrote(self, tmp_path):
+        import flowplug.training as training
+
+        ckpt = self.make_checkpoint()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        streamed = io.StringIO()
+        json.dump(training._checkpoint_payload(ckpt), streamed, sort_keys=True)
+        streamed.write("\n")
+        assert path.read_bytes() == streamed.getvalue().encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_the_old_file_or_none(self, tmp_path, monkeypatch, existing):
+        import flowplug.training as training
+
+        path = tmp_path / "ckpt.json"
+        if existing:
+            path.write_text("old checkpoint")
+
+        def failing_open(file, mode="r", **kwargs):
+            handle = open(file, mode, **kwargs)
+            real_write = handle.write
+            pieces = []
+
+            def write(text):  # some text reaches the disk, then it is full
+                pieces.append(text)
+                if len(pieces) == 20:
+                    handle.flush()
+                    raise OSError("no space left on device")
+                return real_write(text)
+
+            handle.write = write
+            return handle
+
+        monkeypatch.setattr(training, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(self.make_checkpoint(), path)
+        assert [p.name for p in tmp_path.iterdir()] == (["ckpt.json"] if existing else [])
+        if existing:
+            assert path.read_text() == "old checkpoint"
+
+    @pytest.mark.parametrize("change", ["hidden_width", "layer_count"])
+    def test_scale_and_shift_nets_of_different_shapes_rejected(self, tmp_path, change):
+        ckpt = self.make_checkpoint()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        payload = json.loads(path.read_text())
+        layers = payload["layers"][1]["shift_net"]["layers"]
+        if change == "hidden_width":  # one more hidden unit, with zero weights
+            for row in layers[0]["weight"]:
+                row.append(0.0)
+            layers[0]["bias"].append(0.0)
+            layers[1]["weight"].append([0.0] * len(layers[1]["weight"][0]))
+            layers[0]["shape"][1] += 1
+            layers[1]["shape"][0] += 1
+        else:  # one more hidden layer
+            width = layers[0]["shape"][1]
+            layers.insert(1, {"shape": [width, width], "weight": np.eye(width).tolist(), "bias": [0.0] * width})
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointShapeError, match="coupling 1"):
             load_checkpoint(path)
 
     def test_missing_file_is_corrupt(self, tmp_path):
