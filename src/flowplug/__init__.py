@@ -32,7 +32,7 @@ from .flow import (
     latents_to_codes,
 )
 from .losses import LossConfig, batch_loss_graph, contrastive_loss
-from .prior import LabelStats, LatentPair, PriorConfig, label_to_mean, log_prior
+from .prior import LabelStats, PriorConfig
 from .synthetic import (
     GroundTruthFactors,
     MockBackbone,
@@ -78,10 +78,7 @@ __all__ = [
     "batch_loss_graph",
     "contrastive_loss",
     "LabelStats",
-    "LatentPair",
     "PriorConfig",
-    "label_to_mean",
-    "log_prior",
     "GroundTruthFactors",
     "MockBackbone",
     "SyntheticConfig",

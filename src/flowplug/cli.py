@@ -20,6 +20,7 @@ from .configio import dataclass_from_dict, dataclass_to_jsonable
 from .editing import EditRequest, edit_attribute, minimal_edit_batch
 from .errors import ConfigError, FlowplugError
 from .evaluation import EvalConfig, evaluate_dataset, save_report, train_probe
+from .fileio import atomic_write
 from .losses import LossConfig
 from .prior import PriorConfig
 from .synthetic import (
@@ -121,7 +122,7 @@ def _write_snapshot(out_dir: str, cfg: RunConfig, command: str, extras: dict | N
     }
     if extras:
         payload.update(extras)
-    with open(os.path.join(out_dir, "run_config.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "run_config.json")) as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
@@ -172,6 +173,8 @@ def _load_checkpoint_and_dataset(args):
 
 
 def _cmd_edit(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ConfigError(f"--limit must be non-negative, got {args.limit}")
     cfg = _load_config_file(args.config, args.seed)
     flags = {"attr_index": args.attr, "target": args.target, "mode": args.mode}
     overrides = {key: value for key, value in flags.items() if value is not None}
@@ -196,7 +199,7 @@ def _cmd_edit(args) -> int:
         print(f"step-search: {converged}/{len(results)} edits converged")
 
     edit_path = os.path.join(out, "edited_stacks.jsonl")
-    with open(edit_path, "w", encoding="utf-8") as fh:
+    with atomic_write(edit_path) as fh:
         header = {
             "format_version": EDIT_FORMAT,
             "source_fingerprint": fingerprint,

@@ -19,6 +19,7 @@ import numpy as np
 from .configio import dataclass_to_jsonable
 from .editing import EditResult, minimal_edit_batch
 from .errors import ConfigError, DatasetError, DimensionError, UndefinedResultError
+from .fileio import atomic_write
 from .flow import FlowModel, StyleStack
 from .numerics import AdamConfig, AdamOptimizer, Mlp, Tensor, backward, init_mlp
 from .numerics import autodiff as ad
@@ -46,6 +47,12 @@ class ProbeConfig:
             raise ConfigError(f"unknown probe input_mode {self.input_mode!r}")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ConfigError("holdout_fraction must be in (0, 1)")
+        if self.batch_size < 1 or self.epochs < 0 or not self.lr >= 0:
+            raise ConfigError(
+                f"probe needs batch_size >= 1, epochs >= 0 and lr >= 0, got {self.batch_size}, {self.epochs}, {self.lr}"
+            )
+        if any(width < 1 for width in self.hidden):
+            raise ConfigError(f"probe hidden widths must be at least 1, got {list(self.hidden)}")
 
 
 @dataclass
@@ -310,19 +317,12 @@ def identity_drift(
         raise DimensionError("before/after stack lists differ in length")
     if not stacks_before:
         return DriftStats(identity_mse=0.0, nuisance_mse=0.0)
-    id_sq, id_n, nu_sq, nu_n = 0.0, 0, 0.0, 0
-    for before, after in zip(stacks_before, stacks_after):
-        fb = backbone_invert(backbone, before.codes).per_layer
-        fa = backbone_invert(backbone, after.codes).per_layer
-        db = split_factors(fb, cfg)
-        da = split_factors(fa, cfg)
-        id_diff = da.identity_emb - db.identity_emb
-        nu_diff = da.nuisance - db.nuisance
-        id_sq += float(np.sum(id_diff**2))
-        id_n += id_diff.size
-        nu_sq += float(np.sum(nu_diff**2))
-        nu_n += nu_diff.size
-    return DriftStats(identity_mse=id_sq / id_n, nuisance_mse=nu_sq / nu_n)
+    before = backbone_invert(backbone, np.stack([st.codes for st in stacks_before]))
+    after = backbone_invert(backbone, np.stack([st.codes for st in stacks_after]))
+    diff = split_factors(after - before, cfg)
+    return DriftStats(
+        identity_mse=float(np.mean(diff.identity_emb**2)), nuisance_mse=float(np.mean(diff.nuisance**2))
+    )
 
 
 def _binary_attrs(kinds: tuple[str, ...]) -> list[int]:
@@ -547,7 +547,7 @@ def report_to_jsonable(report: EvalReport) -> dict:
 def save_report(report: EvalReport, out_dir) -> None:
     """report.json plus one CSV per table (accuracy, ranks, drift)."""
     names = report.attr_names
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "report.json")) as fh:
         json.dump(report_to_jsonable(report), fh, sort_keys=True, indent=1)
         fh.write("\n")
 
@@ -555,7 +555,7 @@ def save_report(report: EvalReport, out_dir) -> None:
         return "" if not math.isfinite(v) else f"{v:.6f}"
 
     acc = report.accuracy
-    with open(os.path.join(out_dir, "accuracy.csv"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "accuracy.csv")) as fh:
         cols = ",".join(names[b] for b in acc.attrs)
         fh.write(f"edited,{cols},acc_of_modif,non_converged,edited_count\n")
         for ri, a in enumerate(acc.attrs):
@@ -563,11 +563,11 @@ def save_report(report: EvalReport, out_dir) -> None:
             fh.write(
                 f"{names[a]},{cells},{fmt(acc.modification[ri])},{acc.non_converged[ri]},{acc.edited[ri]}\n"
             )
-    with open(os.path.join(out_dir, "spearman.csv"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "spearman.csv")) as fh:
         fh.write("edited," + ",".join(names) + "\n")
         for ri, a in enumerate(report.ranks.attrs):
             fh.write(f"{names[a]}," + ",".join(fmt(v) for v in report.ranks.spearman[ri]) + "\n")
-    with open(os.path.join(out_dir, "identity_drift.csv"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "identity_drift.csv")) as fh:
         fh.write("edited,identity_mse,nuisance_mse,pairs\n")
         for ri, a in enumerate(report.drift.attrs):
             fh.write(

@@ -1,11 +1,10 @@
 """Dense numerics: autodiff tape, small MLPs, and the Adam optimizer."""
 
-from .adam import AdamConfig, AdamOptimizer, AdamState, adam_step
+from .adam import AdamConfig, AdamOptimizer
 from .autodiff import (
     Tensor,
     backward,
     finite_diff_gradient,
-    flatten_arrays,
     gradient,
     no_grad,
     parameter,
@@ -16,12 +15,9 @@ from .mlp import LEAKY_SLOPE, Mlp, init_mlp
 __all__ = [
     "AdamConfig",
     "AdamOptimizer",
-    "AdamState",
-    "adam_step",
     "Tensor",
     "backward",
     "finite_diff_gradient",
-    "flatten_arrays",
     "gradient",
     "no_grad",
     "parameter",

@@ -1,4 +1,4 @@
-"""Adam with bias correction, in functional and stateful-wrapper forms."""
+"""Adam with bias correction, updating parameters in place."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DimensionError, NumericError
+from ..errors import NumericError
 from .autodiff import Tensor
 
 
@@ -18,21 +18,10 @@ class AdamConfig:
     eps: float = 1e-8
 
 
-@dataclass
-class AdamState:
-    step: int
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-
-    @classmethod
-    def init(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(step=0, m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
-
-
 def _check_finite(grads: list[np.ndarray]) -> None:
     for g in grads:
         if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient passed to adam_step")
+            raise NumericError("non-finite gradient passed to the Adam step")
 
 
 def _update_in_place(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, cfg: AdamConfig, t: int) -> None:
@@ -57,43 +46,26 @@ def _update_in_place(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
     p -= update
 
 
-def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-    cfg: AdamConfig,
-) -> tuple[list[np.ndarray], AdamState]:
-    """One Adam update; pure, returns fresh arrays and the advanced state."""
-    if not (len(params) == len(grads) == len(state.m) == len(state.v)):
-        raise DimensionError("params, grads, and moment state must have equal lengths")
-    _check_finite(grads)
-    t = state.step + 1
-    new_p = [np.array(p, dtype=np.float64) for p in params]
-    new_m = [np.array(m, dtype=np.float64) for m in state.m]
-    new_v = [np.array(v, dtype=np.float64) for v in state.v]
-    for p, g, m, v in zip(new_p, grads, new_m, new_v):
-        _update_in_place(p, g, m, v, cfg, t)
-    return new_p, AdamState(step=t, m=new_m, v=new_v)
-
-
 @dataclass
 class AdamOptimizer:
     """Stateful Adam for training loops: updates each parameter's ``data``
-    and its moments in place, with the same arithmetic as ``adam_step``."""
+    and its first and second moments ``m``, ``v`` in place; ``t`` counts
+    the steps taken."""
 
     params: list[Tensor]
     cfg: AdamConfig = field(default_factory=AdamConfig)
 
     def __post_init__(self):
-        self.state = AdamState.init([p.data for p in self.params])
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
         _check_finite(grads)
-        t = self.state.step + 1
-        for p, g, m, v in zip(self.params, grads, self.state.m, self.state.v):
-            _update_in_place(p.data, g, m, v, self.cfg, t)
-        self.state.step = t
+        self.t += 1
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            _update_in_place(p.data, g, m, v, self.cfg, self.t)
 
     def zero_grad(self) -> None:
         for p in self.params:

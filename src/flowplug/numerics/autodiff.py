@@ -22,7 +22,7 @@ from ..errors import ConfigError, DimensionError, NumericError
 # no training path records it, but perfbench/spans.py resolves it by name
 __all__ = [
     "Tensor", "parameter", "record", "grad_enabled", "no_grad", "backward", "zero_grads",
-    "gradient", "finite_diff_gradient", "flatten_arrays", "leaky_relu_array", "leaky_relu_derivative",
+    "gradient", "finite_diff_gradient", "leaky_relu_array", "leaky_relu_derivative",
     "add", "sub", "mul", "neg", "matmul", "exp", "log", "tanh", "leaky_relu", "asum", "take_cols", "concat_cols",
 ]  # fmt: skip
 
@@ -300,10 +300,6 @@ def zero_grads(params: Sequence[Tensor]) -> None:
         p.grad = None
 
 
-def flatten_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
-
-
 def gradient(scalar_fn: Callable[[Sequence[Tensor]], Tensor], params: Sequence[Tensor]) -> np.ndarray:
     """Gradient of ``scalar_fn(params)`` wrt every parameter entry, flattened.
 
@@ -316,7 +312,7 @@ def gradient(scalar_fn: Callable[[Sequence[Tensor]], Tensor], params: Sequence[T
     if not np.isfinite(out.data):
         raise NumericError("non-finite value reached while evaluating the objective")
     backward(out)
-    flat = flatten_arrays([p.grad if p.grad is not None else np.zeros_like(p.data) for p in params])
+    flat = np.concatenate([(p.grad if p.grad is not None else np.zeros_like(p.data)).ravel() for p in params])
     if not np.all(np.isfinite(flat)):
         raise NumericError("non-finite gradient entry")
     return flat

@@ -16,17 +16,8 @@ from .errors import CheckpointVersionError
 from .evaluation import spearman_rho
 from .flow import FlowConfig, StyleStack, build_flow, codes_to_latents, latents_to_codes
 from .losses import LossConfig, batch_loss_graph, contrastive_loss
-from .numerics import (
-    AdamConfig,
-    AdamState,
-    Tensor,
-    adam_step,
-    finite_diff_gradient,
-    flatten_arrays,
-    gradient,
-    init_mlp,
-)
-from .prior import LOG_2PI, LatentPair, PriorConfig, log_prior
+from .numerics import AdamConfig, AdamOptimizer, Tensor, finite_diff_gradient, gradient, init_mlp, no_grad, parameter
+from .prior import LOG_2PI, PriorConfig
 from .synthetic import SyntheticConfig, backbone_generate, backbone_invert, generate_dataset, make_backbone
 
 
@@ -48,7 +39,7 @@ def check_gradients() -> None:
             return Tensor(np.sum((net.forward(x) - tgt) ** 2) / tgt.size)
 
         kept: list = []
-        g = flatten_arrays(net.backward((net.forward(x, kept) - tgt) * (2.0 / tgt.size), kept))
+        g = np.concatenate([a.ravel() for a in net.backward((net.forward(x, kept) - tgt) * (2.0 / tgt.size), kept)])
         fd = finite_diff_gradient(loss, net.parameters())
         # sub-1e-4 entries are held to an absolute 1e-8 (FD noise floor)
         err = np.abs(g - fd) / np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-4)
@@ -57,14 +48,14 @@ def check_gradients() -> None:
 
 def check_adam() -> None:
     cfg = AdamConfig()
-    params = [np.array([1.0, -2.0, 3.0])]
-    state = AdamState.init(params)
-    new_p, state = adam_step(params, [np.zeros(3)], state, cfg)
-    assert np.array_equal(new_p[0], params[0]), "zero gradient must be a fixed point"
+    start = np.array([1.0, -2.0, 3.0])
     g = np.array([0.5, -1.0, 2.0])
-    p1, st = adam_step(params, [g], AdamState.init(params), cfg)
-    expected = params[0] - cfg.lr * g / (np.abs(g) + cfg.eps)
-    assert np.abs(p1[0] - expected).max() < 1e-12, "first Adam step deviates from the closed form"
+    still, moved = parameter(start), parameter(start)
+    still.grad, moved.grad = np.zeros(3), g
+    AdamOptimizer([still, moved], cfg).step()
+    assert np.array_equal(still.data, start), "zero gradient must be a fixed point"
+    expected = start - cfg.lr * g / (np.abs(g) + cfg.eps)
+    assert np.abs(moved.data - expected).max() < 1e-12, "first Adam step deviates from the closed form"
 
 
 def check_flow_round_trip() -> None:
@@ -110,22 +101,26 @@ def check_contrastive_identity() -> None:
 
 
 def check_prior() -> None:
-    cfg = PriorConfig(num_attrs=1, latent_dim=2, sigma=1.0)
-    y = np.array([0.7])
-    at_mean = log_prior(LatentPair(c=y.copy(), s=np.zeros(1)), y, cfg)
-    assert abs(at_mean + LOG_2PI) < 1e-12, "density at the mean of two unit Gaussians"
-    off = log_prior(LatentPair(c=y + 1.0, s=np.zeros(1)), y, cfg)
-    assert abs(off - (at_mean - 0.5)) < 1e-12
-    # normalization over a [-8, 8]^2 grid
-    grid = np.linspace(-8, 8, 801)
-    dx = grid[1] - grid[0]
-    cc, ss = np.meshgrid(grid, grid, indexing="ij")
-    dens = np.exp(-0.5 * (cc - 0.3) ** 2 - 0.5 * ss**2) / (2 * math.pi)
-    integral = dens.sum() * dx * dx
-    assert abs(integral - 1.0) <= 1e-4, f"quadrature normalization {integral}"
-    ours = log_prior(LatentPair(c=np.array([1.1]), s=np.array([-0.4])), np.array([0.3]), cfg)
-    direct = math.log(dens[np.argmin(np.abs(grid - 1.1)), np.argmin(np.abs(grid + 0.4))])
-    assert abs(ours - direct) < 1e-3
+    # minus the NLL of one code through an identity-initialized flow, with no
+    # contrastive term, is the prior's log density
+    sigma, y = 0.5, 0.3
+    prior = PriorConfig(num_attrs=1, latent_dim=2, sigma=sigma)
+    model = build_flow(prior, num_codes=1, cfg=FlowConfig(num_couplings=2, hidden_width=4), seed=0)
+    cfg = LossConfig(prior=prior, lambda_contrastive=0.0)
+
+    def nll(c: float, s: float) -> float:
+        stack = StyleStack(codes=np.array([[c, s]]), labels=np.array([y]), identity_id=0, frame_id=0)
+        with no_grad():
+            return batch_loss_graph(model, [[stack]], cfg)[0].item()
+
+    at_mean = LOG_2PI + math.log(sigma)
+    for c, s, want in ((y, 0.0, at_mean), (y + sigma, 0.0, at_mean + 0.5), (y, 1.0, at_mean + 0.5)):
+        assert abs(nll(c, s) - want) < 1e-12, f"NLL at ({c}, {s}) is not the closed form {want}"
+    # a rectangle rule of step h on a Gaussian of standard deviation sigma
+    # errs by about 2 exp(-2 pi^2 sigma^2 / h^2): 5e-9 at h = 0.5
+    grid = np.arange(-8.0, 8.25, 0.5)
+    integral = sum(math.exp(-nll(c, s)) for c in grid for s in grid) * 0.25
+    assert abs(integral - 1.0) <= 1e-6, f"quadrature normalization {integral}"
 
 
 def check_spearman() -> None:
@@ -145,12 +140,10 @@ def check_spearman() -> None:
 def check_backbone() -> None:
     cfg = SyntheticConfig(num_identities=3, frames_per_identity=2, num_attrs=2, code_dim=8, num_codes=3, identity_dim=4)
     backbone = make_backbone(cfg, seed=5)
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        f = rng.normal(size=8) * 2
-        rec = backbone_invert(backbone, backbone_generate(backbone, f))
-        assert np.abs(rec.per_layer - f).max() <= 1e-6, "backbone round trip"
-        assert rec.max_disagreement <= 1e-6
+    f = np.random.default_rng(6).normal(size=(50, 8)) * 2
+    rec = backbone_invert(backbone, backbone_generate(backbone, f))
+    assert rec.shape == (50, cfg.num_codes, 8)
+    assert np.abs(rec - f[:, None, :]).max() <= 1e-6, "backbone round trip, on every layer"
     for i in range(cfg.num_codes):
         s = np.linalg.svd(backbone.mix[i], compute_uv=False)
         assert s.max() / s.min() <= 100.0 + 1e-9, "condition number bound"

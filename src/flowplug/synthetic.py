@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DatasetError, DimensionError
+from .fileio import atomic_write
 from .flow import StyleStack
 from .prior import LabelStats, map_labels
 
@@ -121,42 +122,25 @@ def make_backbone(cfg: SyntheticConfig, seed: int) -> MockBackbone:
 
 
 def backbone_generate(backbone: MockBackbone, factors: np.ndarray) -> np.ndarray:
-    """Factors (code_dim,) -> entangled codes (num_codes, code_dim)."""
-    factors = np.asarray(factors, dtype=np.float64)
-    if factors.shape != (backbone.code_dim,):
-        raise DimensionError(f"factors have shape {factors.shape}, expected ({backbone.code_dim},)")
-    # same einsum path as the batch version so results are bit-identical
-    return backbone_generate_batch(backbone, factors[None, :])[0]
-
-
-def backbone_generate_batch(backbone: MockBackbone, factors: np.ndarray) -> np.ndarray:
     """(batch, code_dim) factors -> (batch, num_codes, code_dim) codes."""
+    factors = np.asarray(factors, dtype=np.float64)
+    if factors.ndim != 2 or factors.shape[1] != backbone.code_dim:
+        raise DimensionError(f"factors have shape {factors.shape}, expected (batch, {backbone.code_dim})")
     pre = np.einsum("kij,bj->bki", backbone.mix, factors) + backbone.bias
     return _leaky(pre)
 
 
-@dataclass
-class RecoveredFactors:
-    """Per-layer inversions of a stack plus how much the layers disagree."""
-
-    per_layer: np.ndarray  # (num_codes, code_dim)
-    mean: np.ndarray  # (code_dim,)
-    max_disagreement: float
-
-
-def backbone_invert(backbone: MockBackbone, codes: np.ndarray) -> RecoveredFactors:
-    """Exact per-layer inverse of backbone_generate; total on any codes."""
+def backbone_invert(backbone: MockBackbone, codes: np.ndarray) -> np.ndarray:
+    """Exact per-layer inverse of backbone_generate, total on any codes:
+    (batch, num_codes, code_dim) codes -> the factors each layer recovers,
+    of the same shape."""
     codes = np.asarray(codes, dtype=np.float64)
-    if codes.shape != (backbone.num_codes, backbone.code_dim):
+    if codes.ndim != 3 or codes.shape[1:] != (backbone.num_codes, backbone.code_dim):
         raise DimensionError(
-            f"codes have shape {codes.shape}, expected ({backbone.num_codes}, {backbone.code_dim})"
+            f"codes have shape {codes.shape}, expected (batch, {backbone.num_codes}, {backbone.code_dim})"
         )
     pre = _leaky_inv(codes) - backbone.bias
-    per_layer = np.einsum("kij,kj->ki", backbone.mix_inv, pre)
-    mean = per_layer.mean(axis=0)
-    return RecoveredFactors(
-        per_layer=per_layer, mean=mean, max_disagreement=float(np.abs(per_layer - mean).max())
-    )
+    return np.einsum("kij,bkj->bki", backbone.mix_inv, pre)
 
 
 @dataclass
@@ -229,7 +213,7 @@ def generate_dataset(cfg: SyntheticConfig, seed: int) -> SyntheticDataset:
     factors = np.concatenate(
         [raw_attrs, np.repeat(identity_embs, cfg.frames_per_identity, axis=0), nuisance], axis=1
     )
-    codes = backbone_generate_batch(backbone, factors)
+    codes = backbone_generate(backbone, factors)
 
     stacks = []
     frame = 0
@@ -292,7 +276,7 @@ def dataset_fingerprint(ds: SyntheticDataset) -> str:
 
 
 def save_dataset(ds: SyntheticDataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(dataset_header_line(ds) + "\n")
         for st in ds.stacks:
             fh.write(
@@ -311,7 +295,7 @@ def save_dataset(ds: SyntheticDataset, path) -> None:
 def save_ground_truth(ds: SyntheticDataset, path) -> None:
     if ds.factors is None:
         raise DatasetError("dataset carries no ground-truth factors")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(
             _canonical_json({"format_version": GROUND_TRUTH_FORMAT, "seed": ds.seed, "config": _config_dict(ds.config)})
             + "\n"
@@ -403,7 +387,7 @@ def load_dataset(path, ground_truth_path=None) -> SyntheticDataset:
 
     factors = None
     if ground_truth_path is not None:
-        factors = _load_ground_truth(ground_truth_path, cfg, len(stacks))
+        factors = _load_ground_truth(ground_truth_path, seed, cfg, stacks)
     return SyntheticDataset(
         stacks=stacks,
         config=cfg,
@@ -415,21 +399,33 @@ def load_dataset(path, ground_truth_path=None) -> SyntheticDataset:
     )
 
 
-def _load_ground_truth(path, cfg: SyntheticConfig, num_frames: int) -> np.ndarray:
+def _load_ground_truth(path, seed: int, cfg: SyntheticConfig, stacks: list[StyleStack]) -> np.ndarray:
+    """The sidecar's factors, one row per dataset record. Its header must
+    carry the dataset's seed and config, and each record the
+    (identity_id, frame_id) of the dataset record on the same line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         header = json.loads(lines[0])
         if header.get("format_version") != GROUND_TRUTH_FORMAT:
             raise DatasetError(f"unrecognized ground-truth format {header.get('format_version')!r}")
+        if header.get("seed") != seed or header.get("config") != _config_dict(cfg):
+            raise DatasetError("ground-truth sidecar line 1: seed or config differs from the dataset header")
         rows = [json.loads(line) for line in lines[1:]]
+        for ln, (rec, st) in enumerate(zip(rows, stacks), start=2):
+            key = (rec["identity_id"], rec["frame_id"])
+            if key != (st.identity_id, st.frame_id):
+                raise DatasetError(
+                    f"ground-truth sidecar line {ln}: (identity_id, frame_id) {key} differs from the dataset "
+                    f"record's {(st.identity_id, st.frame_id)}"
+                )
         factors = np.array(
             [rec["attrs"] + rec["identity_emb"] + rec["nuisance"] for rec in rows], dtype=np.float64
         )
     except DatasetError:
         raise
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise DatasetError(f"cannot read ground-truth sidecar: {exc}") from exc
-    if factors.shape != (num_frames, cfg.code_dim):
-        raise DatasetError(f"ground truth has shape {factors.shape}, expected ({num_frames}, {cfg.code_dim})")
+    if factors.shape != (len(stacks), cfg.code_dim):
+        raise DatasetError(f"ground truth has shape {factors.shape}, expected ({len(stacks)}, {cfg.code_dim})")
     return factors

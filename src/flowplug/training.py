@@ -5,9 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +19,7 @@ from .errors import (
     NumericError,
     TrainingDivergedError,
 )
+from .fileio import atomic_write
 from .flow import CouplingLayer, FlowConfig, FlowModel, StyleStack, build_flow
 from .losses import LossConfig, batch_loss_graph
 from .numerics import AdamConfig, AdamOptimizer, Mlp, backward, no_grad, parameter
@@ -186,7 +185,7 @@ def train(ds: SyntheticDataset, cfg: TrainConfig) -> tuple[Checkpoint, list[Trac
 
 
 def save_loss_trace(trace: list[TraceRow], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("epoch,mean_nll,mean_contrastive,total\n")
         for row in trace:
             fh.write(f"{row.epoch},{row.mean_nll!r},{row.mean_contrastive!r},{row.total!r}\n")
@@ -264,20 +263,11 @@ def _json_pieces(value):
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write the checkpoint as sorted-key JSON. The text goes to a temporary
-    file in the same directory, which then replaces ``path``, so a failed
-    write leaves the old file or none, never a partial one."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for piece in _json_pieces(_checkpoint_payload(ckpt)):
-                fh.write(piece)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write the checkpoint as sorted-key JSON, through ``atomic_write``."""
+    with atomic_write(path) as fh:
+        for piece in _json_pieces(_checkpoint_payload(ckpt)):
+            fh.write(piece)
+        fh.write("\n")
 
 
 def load_checkpoint(path) -> Checkpoint:

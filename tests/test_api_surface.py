@@ -1,7 +1,9 @@
 """The public surface stays what is used: every exported name resolves,
 every public top-level function or class is exported or used elsewhere in
-the package, and every private top-level function has a caller in the
-package, so helpers with no caller do not accumulate."""
+the package, every private top-level function has a caller in the
+package, and no definition is used only by the selftest suites, so
+helpers with no caller, and reference copies that nothing but selftest
+runs, do not accumulate."""
 
 import ast
 from pathlib import Path
@@ -43,10 +45,10 @@ def _referenced(node: ast.AST) -> set[str]:
 
 def _top_level_units():
     """(exported names, per-statement units, top-level definitions): a unit
-    is ((module, name) or None, names the statement refers to), and each
+    is ((module, name or None), names the statement refers to), and each
     definition is (module, name, is_function)."""
     exported: set[str] = set()
-    units: list[tuple[tuple[str, str] | None, set[str]]] = []
+    units: list[tuple[tuple[str, str | None], set[str]]] = []
     defs: list[tuple[str, str, bool]] = []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -56,7 +58,7 @@ def _top_level_units():
             name = getattr(node, "name", None) if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
             if name is not None:
                 defs.append((rel, name, isinstance(node, ast.FunctionDef)))
-            units.append(((rel, name) if name else None, _referenced(node)))
+            units.append(((rel, name), _referenced(node)))
     return exported, units, defs
 
 
@@ -82,3 +84,31 @@ def test_every_private_function_has_a_caller():
         if is_function and name.startswith("_") and not _used_elsewhere(units, rel, name)
     ]
     assert not unused, f"private functions with no caller in the package: {unused}"
+
+
+SELFTEST = "selftest.py"
+# references that tests compare against stay: acceptance criterion 3
+# imports contrastive_loss as the contrastive identity's reference, and
+# criterion 2 imports gradient and finite_diff_gradient as the gradient
+# oracle's two sides
+SELFTEST_ONLY_EXEMPT = {"contrastive_loss", "gradient", "finite_diff_gradient"}
+
+
+def test_no_definition_is_used_only_by_selftest():
+    """A public definition outside selftest.py fails when every reference
+    to it in the package comes from selftest.py, directly or through
+    definitions that only selftest reaches."""
+    _, units, defs = _top_level_units()
+    only_selftest: set[tuple[str, str]] = set()
+    changed = True
+    while changed:
+        changed = False
+        for rel, name, _ in defs:
+            if rel == SELFTEST or name in SELFTEST_ONLY_EXEMPT or (rel, name) in only_selftest:
+                continue
+            users = [key for key, refs in units if key != (rel, name) and name in refs]
+            if users and all(key[0] == SELFTEST or key in only_selftest for key in users):
+                only_selftest.add((rel, name))
+                changed = True
+    flagged = sorted(f"{rel}:{name}" for rel, name in only_selftest if not name.startswith("_"))
+    assert not flagged, f"definitions that only selftest uses: {flagged}"

@@ -227,6 +227,23 @@ class TestDispatch:
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_negative_edit_limit_rejected(self, tmp_path, config_file, capsys):
+        out = tmp_path / "edit"
+        argv = ["edit", "--config", config_file, "--dataset", str(tmp_path / "ds.jsonl"), "--out", str(out)]
+        assert dispatch(argv + ["--checkpoint", str(tmp_path / "ckpt.json"), "--limit", "-3"]) == 2
+        assert capsys.readouterr().err.startswith("error: --limit")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "probe", [{"batch_size": 0}, {"epochs": -1}, {"lr": -1e-3}, {"hidden": [8, 0]}], ids=lambda p: next(iter(p))
+    )
+    def test_invalid_probe_config_reports_error(self, tmp_path, probe, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"eval": {"probe": probe}}))
+        argv = ["evaluate", "--config", str(bad), "--dataset", str(tmp_path / "ds.jsonl")]
+        assert dispatch(argv + ["--checkpoint", str(tmp_path / "ckpt.json"), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: probe")
+
     def test_missing_dataset_reports_error(self, tmp_path, config_file, capsys):
         code = dispatch(
             ["train", "--config", config_file, "--dataset", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "t")]

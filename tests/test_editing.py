@@ -118,18 +118,19 @@ class TestEditAttribute:
         from flowplug.synthetic import backbone_invert, split_factors
 
         ds, cfg, ckpt = trained_setup
+
+        def recovered(stack):
+            """The oracle's factors for a stack, averaged over its layers."""
+            return split_factors(backbone_invert(ds.backbone, stack.codes[None])[0].mean(axis=0), cfg)
+
         moved, id_drift = [], []
         for idx in range(12):
             stack = ds.stacks[idx]
-            attrs0 = split_factors(backbone_invert(ds.backbone, stack.codes).mean, cfg).attrs
+            before = recovered(stack)
             target = -stack.labels[0]
-            edited = edit_attribute(ckpt.model, stack, EditRequest(attr_index=0, target=target))
-            rec = backbone_invert(ds.backbone, edited.codes)
-            attrs1 = split_factors(rec.mean, cfg).attrs
-            moved.append((attrs1[0] - attrs0[0]) * np.sign(target - attrs0[0]))
-            before_id = split_factors(backbone_invert(ds.backbone, stack.codes).mean, cfg).identity_emb
-            after_id = split_factors(rec.mean, cfg).identity_emb
-            id_drift.append(np.mean((after_id - before_id) ** 2))
+            after = recovered(edit_attribute(ckpt.model, stack, EditRequest(attr_index=0, target=target)))
+            moved.append((after.attrs[0] - before.attrs[0]) * np.sign(target - before.attrs[0]))
+            id_drift.append(np.mean((after.identity_emb - before.identity_emb) ** 2))
         assert min(moved) > 0  # every edit moved the attribute toward the target
         assert np.mean(moved) > 1.0
         assert np.mean(id_drift) < np.mean(np.square(moved))  # identity moved much less

@@ -28,7 +28,7 @@ from flowplug.synthetic import (
     MockBackbone,
     SyntheticConfig,
     SyntheticDataset,
-    backbone_generate_batch,
+    backbone_generate,
     generate_dataset,
 )
 
@@ -43,7 +43,7 @@ def identity_dataset(cfg: SyntheticConfig, seed: int) -> SyntheticDataset:
     attributes are literal code coordinates."""
     base = generate_dataset(cfg, seed)
     backbone = identity_backbone(cfg)
-    codes = backbone_generate_batch(backbone, base.factors)
+    codes = backbone_generate(backbone, base.factors)
     for stack, frame_codes in zip(base.stacks, codes):
         stack.codes = frame_codes
     base.backbone = backbone
@@ -317,13 +317,17 @@ class TestProtocols:
 
 
 class TestReportSerialization:
-    def test_report_files_written(self, tmp_path):
+    @staticmethod
+    def make_report(seed=0):
         ds = identity_dataset(SMALL, seed=10)
         prior = PriorConfig(num_attrs=SMALL.num_attrs, latent_dim=SMALL.code_dim, sigma=0.5)
-        model = build_flow(prior, SMALL.num_codes, FlowConfig(num_couplings=2, hidden_width=8), seed=0)
-        report, _ = evaluate_dataset(ds, model, EvalConfig(num_eval=30))
+        model = build_flow(prior, SMALL.num_codes, FlowConfig(num_couplings=2, hidden_width=8), seed=seed)
+        return evaluate_dataset(ds, model, EvalConfig(num_eval=30))[0]
+
+    def test_report_files_written(self, tmp_path):
         from flowplug.evaluation import save_report
 
+        report = self.make_report()
         save_report(report, tmp_path)
         import json
 
@@ -333,3 +337,19 @@ class TestReportSerialization:
         for name in ("accuracy.csv", "spearman.csv", "identity_drift.csv"):
             text = (tmp_path / name).read_text().splitlines()
             assert len(text) == 1 + SMALL.num_attrs
+
+    def test_failed_write_leaves_each_old_file_or_none(self, tmp_path, fail_after_writes):
+        from flowplug.evaluation import save_report
+
+        names = ["accuracy.csv", "identity_drift.csv", "report.json", "spearman.csv"]
+        save_report(self.make_report(seed=0), tmp_path)
+        old = {name: (tmp_path / name).read_bytes() for name in names}
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        fail_after_writes(2)
+        for out in (tmp_path, fresh):
+            with pytest.raises(OSError, match="no space"):
+                save_report(self.make_report(seed=1), out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["fresh"])
+        assert {name: (tmp_path / name).read_bytes() for name in names} == old
+        assert list(fresh.iterdir()) == []

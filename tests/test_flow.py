@@ -19,7 +19,7 @@ from flowplug.flow import (
     codes_to_latents,
     latents_to_codes,
 )
-from flowplug.numerics import AdamOptimizer, Mlp, Tensor, finite_diff_gradient, flatten_arrays, init_mlp, parameter
+from flowplug.numerics import AdamOptimizer, Mlp, Tensor, finite_diff_gradient, init_mlp, parameter
 from flowplug.prior import PriorConfig
 
 
@@ -252,7 +252,7 @@ class TestFusedCoupling:
         kept = []
         state = flow.packed_forward(model, x, cond, kept)
         g_state = np.concatenate([0.2 * state[:, :-1] * wz, wl[:, None]], axis=1)
-        g = flatten_arrays(flow.packed_backward(model, g_state, cond, kept))
+        g = np.concatenate([a.ravel() for a in flow.packed_backward(model, g_state, cond, kept)])
         fd = finite_diff_gradient(loss, model.parameters(), step=1e-5)
         err = np.abs(g - fd) / np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-4)
         assert err.max() <= 1e-4

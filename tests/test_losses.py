@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from flowplug.errors import DimensionError
 from flowplug.flow import FlowConfig, StyleStack, build_flow, codes_to_latents
 from flowplug.losses import LossConfig, batch_loss_graph, contrastive_loss
-from flowplug.numerics import finite_diff_gradient, flatten_arrays, gradient, no_grad
-from flowplug.prior import LatentPair, PriorConfig, log_prior
+from flowplug.numerics import finite_diff_gradient, gradient, no_grad
+from flowplug.prior import PriorConfig
 from flowplug.training import load_checkpoint
+from oracles import gaussian_log_prior
 
 DATA = Path(__file__).parent / "data"
 
@@ -40,10 +41,11 @@ def batch_total(model, groups, cfg):
     return batch_values(model, groups, cfg)[0]
 
 
-def latent_pair(model, stack, layer_index):
-    z, _ = codes_to_latents(model, stack.codes[layer_index][None, :], np.array([layer_index]))
-    m = model.prior.num_attrs
-    return LatentPair(c=z[0, :m], s=z[0, m:])
+def layer_log_priors(model, stack):
+    """The reference log prior of each of the stack's per-layer latents."""
+    k, m = model.num_codes, model.prior.num_attrs
+    z, _ = codes_to_latents(model, stack.codes, np.arange(k))
+    return gaussian_log_prior(z[:, :m], z[:, m:], np.tile(stack.labels, (k, 1)), model.prior.sigma)
 
 
 def make_stack(rng, model, identity_id=0, frame_id=0):
@@ -61,10 +63,7 @@ class TestNllLoss:
         rng = np.random.default_rng(0)
         stack = make_stack(rng, model)
         cfg = LossConfig(prior=model.prior)
-        expected = -sum(
-            log_prior(latent_pair(model, stack, i), stack.labels, model.prior)
-            for i in range(model.num_codes)
-        )
+        expected = -np.sum(layer_log_priors(model, stack))
         assert nll(model, stack, cfg) == pytest.approx(expected, abs=1e-10)
 
     def test_single_code_closed_form(self):
@@ -88,12 +87,9 @@ class TestNllLoss:
         )
         cfg = LossConfig(prior=prior)
         whole = nll(model, stack, cfg)
-        per_code = [
-            -log_prior(latent_pair(model, stack, i), stack.labels, prior)
-            for i in range(18)
-        ]
-        assert len(per_code) == 18
-        assert whole == pytest.approx(sum(per_code), rel=1e-12)
+        per_code = -layer_log_priors(model, stack)
+        assert per_code.shape == (18,)
+        assert whole == pytest.approx(np.sum(per_code), rel=1e-12)
 
     def test_missing_labels_rejected(self):
         model = identity_model()
@@ -277,7 +273,7 @@ class TestTotalLoss:
         first, second = sorted(calls[:2], key=lambda call: call[0])
         assert first[1].shape[0] == 6 * model.num_codes and second[1].shape[0] == 5 * model.num_codes
         halves = [real_backward(model, g_rows, cond, kept) for _, g_rows, cond, kept in (first, second)]
-        want = flatten_arrays([a + b for a, b in zip(*halves)])
+        want = np.concatenate([(a + b).ravel() for a, b in zip(*halves)])
         assert all(np.array_equal(g, want) for g in grads)
 
     def test_loss_records_one_tape_node(self):

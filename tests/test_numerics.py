@@ -8,17 +8,15 @@ from flowplug.errors import ConfigError, DimensionError, NumericError
 from flowplug.numerics import (
     AdamConfig,
     AdamOptimizer,
-    AdamState,
     Mlp,
     Tensor,
-    adam_step,
     finite_diff_gradient,
-    flatten_arrays,
     gradient,
     init_mlp,
     parameter,
 )
 from flowplug.numerics import autodiff as ad
+from oracles import adam_step
 
 
 # The floor makes the check |a-b| <= 1e-4*max(|a|,|b|,floor): entries below
@@ -112,7 +110,7 @@ class TestGradient:
             return Tensor(np.sum((net.forward(x) - t) ** 2) * scale)
 
         kept = []
-        g = flatten_arrays(net.backward((net.forward(x, kept) - t) * (2.0 * scale), kept))
+        g = np.concatenate([a.ravel() for a in net.backward((net.forward(x, kept) - t) * (2.0 * scale), kept)])
         fd = finite_diff_gradient(loss, net.parameters(), step=1e-5)
         assert rel_err(g, fd).max() <= 1e-4
 
@@ -157,75 +155,74 @@ class TestGradient:
             ad.backward(p + p)
 
 
+def adam_on(values, cfg=AdamConfig()):
+    """An AdamOptimizer over one fresh parameter holding ``values``."""
+    p = parameter(np.array(values, dtype=np.float64))
+    return p, AdamOptimizer([p], cfg)
+
+
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
-        params = [np.array([1.0, -2.0])]
-        state = AdamState.init(params)
-        new_p, new_state = adam_step(params, [np.zeros(2)], state, AdamConfig())
-        assert np.array_equal(new_p[0], params[0])
-        assert new_state.step == 1
+        p, opt = adam_on([1.0, -2.0])
+        p.grad = np.zeros(2)
+        opt.step()
+        assert np.array_equal(p.data, [1.0, -2.0])
+        assert opt.t == 1
 
     def test_moments_decay_toward_zero(self):
-        params = [np.array([1.0])]
-        state = AdamState(step=1, m=[np.array([0.4])], v=[np.array([0.2])])
-        _, state = adam_step(params, [np.zeros(1)], state, AdamConfig())
-        assert state.m[0][0] == pytest.approx(0.36)
-        assert state.v[0][0] == pytest.approx(0.1998)
+        p, opt = adam_on([1.0])
+        opt.t, opt.m[0][:], opt.v[0][:] = 1, 0.4, 0.2
+        p.grad = np.zeros(1)
+        opt.step()
+        assert opt.m[0][0] == pytest.approx(0.36)
+        assert opt.v[0][0] == pytest.approx(0.1998)
 
     def test_first_step_closed_form(self):
         # hand-evaluated: m_hat = g, v_hat = g^2, update = lr*g/(|g|+eps)
-        params = [np.array([1.0])]
-        new_p, _ = adam_step(params, [np.array([0.5])], AdamState.init(params), AdamConfig())
-        assert new_p[0][0] == pytest.approx(0.99900000002, abs=1e-14)
+        p, opt = adam_on([1.0])
+        p.grad = np.array([0.5])
+        opt.step()
+        assert p.data[0] == pytest.approx(0.99900000002, abs=1e-14)
 
     def test_two_steps_monotone_against_gradient_sign(self):
-        params = [np.array([1.0, -1.0])]
-        g = [np.array([0.3, -0.7])]
-        state = AdamState.init(params)
-        p1, state = adam_step(params, g, state, AdamConfig())
-        p2, _ = adam_step(p1, g, state, AdamConfig())
-        assert p2[0][0] < p1[0][0] < params[0][0]
-        assert p2[0][1] > p1[0][1] > params[0][1]
+        p, opt = adam_on([1.0, -1.0])
+        seen = [p.data.copy()]
+        for _ in range(2):
+            p.grad = np.array([0.3, -0.7])
+            opt.step()
+            seen.append(p.data.copy())
+        assert seen[2][0] < seen[1][0] < seen[0][0]
+        assert seen[2][1] > seen[1][1] > seen[0][1]
 
     def test_non_finite_gradient_rejected(self):
-        params = [np.array([1.0])]
-        with pytest.raises(NumericError):
-            adam_step(params, [np.array([np.nan])], AdamState.init(params), AdamConfig())
-
-    def test_length_mismatch_rejected(self):
-        params = [np.array([1.0])]
-        with pytest.raises(DimensionError):
-            adam_step(params, [np.zeros(1), np.zeros(1)], AdamState.init(params), AdamConfig())
+        for bad in (np.nan, np.inf, -np.inf):
+            p, opt = adam_on([1.0])
+            p.grad = np.array([bad])
+            with pytest.raises(NumericError):
+                opt.step()
 
     def test_optimizer_is_bit_identical_to_adam_step(self):
         rng = np.random.default_rng(9)
         cfg = AdamConfig(lr=0.01)
         params = [parameter(rng.normal(size=(3, 4))), parameter(rng.normal(size=5))]
-        arrays = [p.data.copy() for p in params]
         opt = AdamOptimizer(params, cfg)
         buffers = [p.data for p in params]
-        state = AdamState.init(arrays)
-        ref_p = [a.copy() for a in arrays]
-        ref_m = [np.zeros_like(a) for a in arrays]
-        ref_v = [np.zeros_like(a) for a in arrays]
+        ref_p = [p.data.copy() for p in params]
+        ref_m = [np.zeros_like(a) for a in ref_p]
+        ref_v = [np.zeros_like(a) for a in ref_p]
         for t in range(1, 4):
-            grads = [rng.normal(size=a.shape) for a in arrays]
+            grads = [rng.normal(size=a.shape) for a in ref_p]
             for p, g in zip(params, grads):
                 p.grad = g
             opt.step()
-            arrays, state = adam_step(arrays, grads, state, cfg)
-            # the textbook expressions, evaluated out of place
-            c1, c2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
             for i, g in enumerate(grads):
-                ref_m[i] = cfg.beta1 * ref_m[i] + (1.0 - cfg.beta1) * g
-                ref_v[i] = cfg.beta2 * ref_v[i] + (1.0 - cfg.beta2) * g * g
-                ref_p[i] = ref_p[i] - cfg.lr * (ref_m[i] / c1) / (np.sqrt(ref_v[i] / c2) + cfg.eps)
-            for p, a, ref, buf in zip(params, arrays, ref_p, buffers):
+                ref_p[i], ref_m[i], ref_v[i] = adam_step(ref_p[i], ref_m[i], ref_v[i], g, t, cfg)
+            for p, ref, buf in zip(params, ref_p, buffers):
                 assert p.data is buf  # updated in place
-                assert np.array_equal(p.data, a) and np.array_equal(a, ref)
-            for ours, functional, ref in zip(opt.state.m + opt.state.v, state.m + state.v, ref_m + ref_v):
-                assert np.array_equal(ours, functional) and np.array_equal(functional, ref)
-        assert opt.state.step == state.step == 3
+                assert np.array_equal(p.data, ref)
+            for ours, ref in zip(opt.m + opt.v, ref_m + ref_v):
+                assert np.array_equal(ours, ref)
+        assert opt.t == 3
 
     def test_optimizer_rejects_non_finite_gradient_before_any_update(self):
         params = [parameter(np.array([1.0, 2.0])), parameter(np.array([3.0]))]
@@ -235,4 +232,4 @@ class TestAdam:
         with pytest.raises(NumericError):
             opt.step()
         assert np.array_equal(params[0].data, [1.0, 2.0])
-        assert opt.state.step == 0 and not np.any(opt.state.m[0])
+        assert opt.t == 0 and not np.any(opt.m[0])

@@ -10,7 +10,6 @@ from flowplug.errors import ConfigError, DatasetError, DimensionError
 from flowplug.synthetic import (
     SyntheticConfig,
     backbone_generate,
-    backbone_generate_batch,
     backbone_invert,
     dataset_fingerprint,
     generate_dataset,
@@ -55,29 +54,28 @@ class TestGenerateInvert:
         eye = np.stack([np.eye(n)] * k)
         backbone = MockBackbone(mix=eye, mix_inv=eye.copy(), bias=np.zeros((k, n)), seed=0)
         f = np.abs(np.random.default_rng(0).normal(size=n)) + 0.1  # linear region
-        codes = backbone_generate(backbone, f)
-        assert np.array_equal(codes, np.tile(f, (k, 1)))
-        rec = backbone_invert(backbone, np.zeros((k, n)))
-        assert np.array_equal(rec.per_layer, np.zeros((k, n)))
+        codes = backbone_generate(backbone, f[None, :])
+        assert np.array_equal(codes, np.tile(f, (1, k, 1)))
+        rec = backbone_invert(backbone, np.zeros((2, k, n)))
+        assert np.array_equal(rec, np.zeros((2, k, n)))
 
     def test_round_trip_1000_random_factors(self):
         backbone = make_backbone(SMALL, seed=6)
         rng = np.random.default_rng(7)
         factors = rng.normal(size=(1000, SMALL.code_dim)) * 2
-        codes = backbone_generate_batch(backbone, factors)
-        worst = 0.0
-        for i in range(1000):
-            rec = backbone_invert(backbone, codes[i])
-            worst = max(worst, float(np.abs(rec.per_layer - factors[i]).max()))
-            assert rec.max_disagreement <= 1e-6
-        assert worst <= 1e-6
+        rec = backbone_invert(backbone, backbone_generate(backbone, factors))
+        assert rec.shape == (1000, SMALL.num_codes, SMALL.code_dim)
+        # every layer recovers the factors on its own
+        assert np.abs(rec - factors[:, None, :]).max() <= 1e-6
 
     def test_dimension_mismatch_rejected(self):
         backbone = make_backbone(SMALL, seed=6)
-        with pytest.raises(DimensionError):
-            backbone_generate(backbone, np.zeros(3))
-        with pytest.raises(DimensionError):
-            backbone_invert(backbone, np.zeros((2, 2)))
+        for bad in (np.zeros(SMALL.code_dim), np.zeros((2, 3))):
+            with pytest.raises(DimensionError):
+                backbone_generate(backbone, bad)
+        for bad in (np.zeros((SMALL.num_codes, SMALL.code_dim)), np.zeros((1, 2, 2))):
+            with pytest.raises(DimensionError):
+                backbone_invert(backbone, bad)
 
 
 class TestGenerateDataset:
@@ -121,9 +119,9 @@ class TestGenerateDataset:
 
     def test_stack_codes_match_backbone(self):
         ds = generate_dataset(SMALL, seed=5)
-        for idx in (0, 7, 23):
-            regen = backbone_generate(ds.backbone, ds.factors[idx])
-            assert np.array_equal(ds.stacks[idx].codes, regen)
+        idx = [0, 7, 23]
+        regen = backbone_generate(ds.backbone, ds.factors[idx])
+        assert np.array_equal(np.stack([ds.stacks[i].codes for i in idx]), regen)
 
     def test_continuous_attributes_standardized(self):
         cfg = SyntheticConfig(
@@ -176,6 +174,31 @@ class TestSerialization:
         save_ground_truth(ds, gt_path)
         loaded = load_dataset(ds_path, ground_truth_path=gt_path)
         assert np.array_equal(loaded.factors, ds.factors)
+
+    def test_ground_truth_sidecar_must_belong_to_the_dataset(self, tmp_path):
+        ds_path, gt_path = tmp_path / "ds.jsonl", tmp_path / "gt.jsonl"
+        save_dataset(generate_dataset(SMALL, seed=1), ds_path)
+        save_ground_truth(generate_dataset(SMALL, seed=2), gt_path)
+        with pytest.raises(DatasetError, match="line 1"):
+            load_dataset(ds_path, ground_truth_path=gt_path)
+        save_ground_truth(generate_dataset(SMALL, seed=1), gt_path)
+        lines = gt_path.read_text().splitlines()
+        lines[2], lines[3] = lines[3], lines[2]
+        gt_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match="line 3"):
+            load_dataset(ds_path, ground_truth_path=gt_path)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_the_old_dataset_or_none(self, tmp_path, fail_after_writes, existing):
+        path = tmp_path / "ds.jsonl"
+        if existing:
+            save_dataset(generate_dataset(SMALL, seed=1), path)
+        old = path.read_bytes() if existing else None
+        fail_after_writes(5)
+        with pytest.raises(OSError, match="no space"):
+            save_dataset(generate_dataset(SMALL, seed=2), path)
+        assert [p.name for p in tmp_path.iterdir()] == (["ds.jsonl"] if existing else [])
+        assert not existing or path.read_bytes() == old
 
     def test_plain_load_carries_no_ground_truth(self, tmp_path):
         ds = generate_dataset(SMALL, seed=11)

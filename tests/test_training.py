@@ -320,29 +320,11 @@ class TestCheckpoint:
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
 
     @pytest.mark.parametrize("existing", [False, True])
-    def test_failed_write_leaves_the_old_file_or_none(self, tmp_path, monkeypatch, existing):
-        import flowplug.training as training
-
+    def test_failed_write_leaves_the_old_file_or_none(self, tmp_path, fail_after_writes, existing):
         path = tmp_path / "ckpt.json"
         if existing:
             path.write_text("old checkpoint")
-
-        def failing_open(file, mode="r", **kwargs):
-            handle = open(file, mode, **kwargs)
-            real_write = handle.write
-            pieces = []
-
-            def write(text):  # some text reaches the disk, then it is full
-                pieces.append(text)
-                if len(pieces) == 20:
-                    handle.flush()
-                    raise OSError("no space left on device")
-                return real_write(text)
-
-            handle.write = write
-            return handle
-
-        monkeypatch.setattr(training, "open", failing_open, raising=False)
+        fail_after_writes(20)  # some text reaches the disk, then it is full
         with pytest.raises(OSError, match="no space"):
             save_checkpoint(self.make_checkpoint(), path)
         assert [p.name for p in tmp_path.iterdir()] == (["ckpt.json"] if existing else [])
