@@ -30,6 +30,10 @@ class TrainingDivergedError(FlowplugError):
     epoch and batch, and for a gradient the first non-finite parameter."""
 
 
+class WorkerError(FlowplugError):
+    """The training worker process died, or failed outside the numerics."""
+
+
 class CheckpointError(FlowplugError):
     """Base class for checkpoint load failures."""
 

@@ -5,20 +5,42 @@ share an identity, combined with a configurable weight."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor, wait
+import mmap
+import multiprocessing
+import signal
+import time
+import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import fsum
+from multiprocessing.connection import wait
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import ConfigError, DimensionError, FlowplugError, NumericError, WorkerError
 from .flow import FlowModel, StyleStack, packed_backward, packed_forward
 from .numerics import Tensor
 from .numerics import autodiff as ad
 from .prior import LOG_2PI, PriorConfig
 
-# runs the second row half of every split batch; one thread for the process
-_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="flowplug-half")
+# how long closing waits for the worker to exit before killing it; an idle
+# worker exits at once on pipe EOF, a busy one after its current half
+_EXIT_SECONDS = 5.0
+# how long each side polls for the other's message before it blocks: on a
+# virtual machine, waking a process whose CPU went idle cost 0.1-2 ms per
+# message, against gaps of about a millisecond between the halves' messages
+_SPIN_SECONDS = 0.005
+
+
+def _await(conn, *also) -> None:
+    """Return once ``conn`` has a message or EOF, or one of the ``also``
+    handles is ready: polling first, for up to ``_SPIN_SECONDS``, then
+    blocking."""
+    deadline = time.perf_counter() + _SPIN_SECONDS
+    while time.perf_counter() < deadline:
+        if conn.poll(0):
+            return
+    wait([conn, *also])
 
 
 @dataclass(frozen=True)
@@ -56,25 +78,193 @@ def contrastive_loss(s_vectors: np.ndarray, normalize: bool = False) -> float:
     return value
 
 
-def _on_halves(fn, model: FlowModel, rows: np.ndarray, cond: np.ndarray, kept: tuple, cut: int | None) -> list:
-    """``fn(model, rows, cond, kept)`` over the row halves ``[:cut]``, on this
-    thread, and ``[cut:]``, on the worker, with one ``kept`` entry per half.
-    Returns both results once both calls have finished; an exception from
-    either half re-raises here, with the worker idle again. Without a
-    ``cut``, one call on this thread."""
-    if cut is None:
-        return [fn(model, rows, cond, kept[0])]
-    future = _WORKER.submit(fn, model, rows[cut:], cond[cut:], kept[1])
+class _InTurn:
+    """The second row half of a split batch, on the calling thread: each
+    call runs when its result is read, after the first half."""
+
+    def __init__(self, model: FlowModel):
+        self._model = model
+        self._call: Callable | None = None
+        self._cond = self._kept = None
+
+    def forward(self, rows: np.ndarray, cond: np.ndarray, keep: bool) -> None:
+        self._cond, self._kept = cond, [] if keep else None
+        self._call = lambda: packed_forward(self._model, rows, self._cond, self._kept)
+
+    def backward(self, g_rows: np.ndarray) -> None:
+        self._call = lambda: packed_backward(self._model, g_rows, self._cond, self._kept)
+
+    def result(self):
+        call, self._call = self._call, None
+        return call()
+
+    def discard(self) -> None:
+        self._call = None
+
+
+def _shared_zeros(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Zeroed float64 arrays in one anonymous shared mapping, which a forked
+    child shares with its parent; each starts on a 64-byte boundary."""
+    offsets, size = [], 0
+    for shape in shapes:
+        offsets.append(size)
+        size += -(-8 * math.prod(shape) // 64) * 64
+    buf = mmap.mmap(-1, max(size, 1))
+    return [np.frombuffer(buf, np.float64, math.prod(shape), off).reshape(shape) for shape, off in zip(shapes, offsets)]
+
+
+class RowWorker:
+    """A forked process that, for one training run, runs the second row half
+    of every split batch and, on ``step``, ``step_fn`` (the optimizer over
+    its share of the parameters). ``forward``, ``backward`` and ``step`` send
+    one call; ``result`` waits for it and re-raises its error here.
+
+    The model's parameters move into a shared mapping before the fork, next
+    to one gradient array per parameter, so both processes read and update
+    the same arrays and only rows cross the pipe. The worker keeps the
+    intermediates of its latest forward only, so a loss's backward comes
+    before the next loss, as in a training step. It ignores SIGINT and
+    exits on pipe EOF. A worker that dies raises ``WorkerError`` here, never
+    a wait. ``close`` joins it and gives the parameters private arrays
+    again."""
+
+    def __init__(self, model: FlowModel, step_fn: Callable[[], None]):
+        self.model = model
+        params = model.parameters()
+        shared = _shared_zeros([p.data.shape for p in params] * 2)
+        for p, data in zip(params, shared):
+            data[...] = p.data
+            p.data = data
+        self.grads = shared[len(params):]
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_conn = ctx.Pipe()
+        self._pending = None
+        self._warned: dict = {}
+        self._proc = ctx.Process(
+            target=self._serve, args=(child_conn, step_fn), name="flowplug-rows", daemon=True
+        )
+        try:
+            self._proc.start()
+        except OSError as exc:  # fork failed, e.g. at a process limit
+            self._conn.close()
+            raise WorkerError(f"cannot start the training worker process: {exc}") from exc
+        finally:
+            child_conn.close()
+
+    def _serve(self, conn, step_fn: Callable[[], None]) -> None:
+        """The worker's loop, in the child: one reply per call, until EOF."""
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        self._conn.close()
+        for p, g in zip(self.model.parameters(), self.grads):
+            p.grad = g
+        cond = kept = None
+        while True:
+            _await(conn)
+            try:
+                op, *args = conn.recv()
+            except (EOFError, OSError):  # the parent closed its end, or died
+                return
+            outcome = None
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    if op == "forward":
+                        rows, cond, keep = args
+                        kept = [] if keep else None
+                        outcome = packed_forward(self.model, rows, cond, kept)
+                    elif op == "backward":
+                        for out, g in zip(self.grads, packed_backward(self.model, args[0], cond, kept)):
+                            out[...] = g
+                    else:
+                        step_fn()
+                except FlowplugError as exc:
+                    outcome = exc
+                except Exception as exc:  # reported to the parent, which raises it
+                    outcome = WorkerError(f"{op} failed on the worker: {type(exc).__name__}: {exc}")
+            try:
+                conn.send((outcome, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]))
+            except OSError:  # the parent died
+                return
+
+    def _send(self, *call) -> None:
+        try:
+            self._conn.send(call)
+        except OSError as exc:
+            raise WorkerError(f"the training worker process is gone ({exc})") from exc
+        self._pending = call[0]
+
+    def forward(self, rows: np.ndarray, cond: np.ndarray, keep: bool) -> None:
+        self._send("forward", rows, cond, keep)
+
+    def backward(self, g_rows: np.ndarray) -> None:
+        self._send("backward", g_rows)
+
+    def step(self) -> None:
+        self._send("step")
+
+    def result(self):
+        """The pending call's outcome: the forward's rows, the backward's
+        gradients (the shared ``grads``), or None for ``step``."""
+        op, self._pending = self._pending, None
+        if op is None:
+            raise WorkerError("no call is pending on the training worker")
+        _await(self._conn, self._proc.sentinel)
+        try:
+            if not self._conn.poll():
+                raise EOFError
+            reply = self._conn.recv()
+        except (EOFError, OSError):  # OSError: reset by a killed peer
+            self._proc.join(_EXIT_SECONDS)
+            raise WorkerError(
+                f"the training worker process exited (code {self._proc.exitcode}) during {op}"
+            ) from None
+        outcome, caught = reply
+        # the worker's warnings, such as numpy's overflow, surface here
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno, registry=self._warned)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return self.grads if op == "backward" else outcome
+
+    def discard(self) -> None:
+        """Wait for the pending call and drop its outcome."""
+        try:
+            self.result()
+        except FlowplugError:
+            pass
+
+    def close(self) -> None:
+        self._conn.close()
+        self._proc.join(_EXIT_SECONDS)
+        if self._proc.is_alive():
+            self._proc.kill()
+            self._proc.join()
+        for p in self.model.parameters():
+            p.data = p.data.copy()
+            p.grad = None
+        self.grads = []
+
+    def __enter__(self) -> "RowWorker":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def _alongside(run_first: Callable, second):
+    """``run_first()`` on this thread while ``second`` runs the other half:
+    both results, once both halves have finished. If the first half raises,
+    the second's outcome is dropped and the first's error re-raises."""
     try:
-        first = fn(model, rows[:cut], cond[:cut], kept[0])
+        first = run_first()
     except BaseException:
-        wait([future])
+        second.discard()
         raise
-    return [first, future.result()]
+    return first, second.result()
 
 
 def batch_loss_graph(
-    model: FlowModel, groups: list[list[StyleStack]], cfg: LossConfig
+    model: FlowModel, groups: list[list[StyleStack]], cfg: LossConfig, worker: RowWorker | None = None
 ) -> tuple[Tensor, Tensor, Tensor]:
     """(total, mean NLL, mean contrastive) for one batch of identity groups.
     The contrastive term is averaged over every (group, layer) pair; NLL is
@@ -84,11 +274,14 @@ def batch_loss_graph(
 
     Rows pass the flow independently, so a batch of more than one stack runs
     as two fixed row halves: the first ceil(N/2) stacks on this thread and
-    the rest on the worker, for the forward and again for the backward. The
-    state is the halves concatenated, and each gradient is first half +
-    second half, so results do not depend on the CPU count."""
+    the rest on ``worker``, a ``RowWorker`` of this model, or else after the
+    first half on this thread, for the forward and again for the backward.
+    The state is the halves concatenated, and each gradient is first half +
+    second half, so results do not depend on where the halves run."""
     if cfg.prior != model.prior:
         raise ConfigError("loss prior differs from the model's prior snapshot")
+    if worker is not None and worker.model is not model:
+        raise ConfigError("the row worker serves another model")
     if not groups or any(not g for g in groups):
         raise DimensionError("batch must be a non-empty list of non-empty identity groups")
     for g in groups:
@@ -111,11 +304,15 @@ def batch_loss_graph(
     cond = np.tile(np.eye(k), (num_stacks, 1))
     labels = np.repeat(np.stack([st.labels for st in stacks]), k, axis=0)
 
-    # the rows of the first ceil(N/2) stacks; grad mode is thread-local, so
-    # this thread decides whether the halves keep intermediates
-    cut = (num_stacks + 1) // 2 * k if num_stacks > 1 else None
-    kept = ([], []) if ad.grad_enabled() else (None, None)
-    state = np.concatenate(_on_halves(packed_forward, model, codes, cond, kept, cut))
+    keep = ad.grad_enabled()
+    kept = [] if keep else None
+    if num_stacks > 1:
+        cut = (num_stacks + 1) // 2 * k  # the rows of the first ceil(N/2) stacks
+        second = worker if worker is not None else _InTurn(model)
+        second.forward(codes[cut:], cond[cut:], keep)
+        state = np.concatenate(_alongside(lambda: packed_forward(model, codes[:cut], cond[:cut], kept), second))
+    else:
+        state = packed_forward(model, codes, cond, kept)
     c, s, logdet = state[:, :m], state[:, m:n], state[:, n]
 
     var = cfg.prior.sigma**2
@@ -154,7 +351,10 @@ def batch_loss_graph(
         g_state[:, m:n] = s * (1.0 / num_stacks) + d * w * (2.0 * lam / num_terms)
         g_state[:, n] = -1.0 / num_stacks
         g_state *= g_out
-        halves = _on_halves(packed_backward, model, g_state, cond, kept, cut)
-        return [a + b for a, b in zip(*halves)] if cut else halves[0]
+        if num_stacks == 1:
+            return packed_backward(model, g_state, cond, kept)
+        second.backward(g_state[cut:])
+        first, rest = _alongside(lambda: packed_backward(model, g_state[:cut], cond[:cut], kept), second)
+        return [np.add(a, b, out=b) for a, b in zip(first, rest)]
 
     return ad.record(np.array(total), tuple(model.parameters()), grad_fn), Tensor(nll_mean), Tensor(contrast_mean)

@@ -333,6 +333,8 @@ def load_dataset(path, ground_truth_path=None) -> SyntheticDataset:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise DatasetError(f"dataset header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DatasetError(f"line 1: dataset header must be a JSON object, got {lines[0][:40]!r}")
     if header.get("format_version") != DATASET_FORMAT:
         raise DatasetError(f"unrecognized dataset format {header.get('format_version')!r}")
     try:

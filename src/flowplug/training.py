@@ -3,12 +3,19 @@ JSON checkpoints and a CSV loss trace."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
+import math
+import multiprocessing
+import numbers
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blas
 from .configio import dataclass_from_dict, dataclass_to_jsonable
 from .errors import (
     CheckpointShapeError,
@@ -21,7 +28,7 @@ from .errors import (
 )
 from .fileio import atomic_write
 from .flow import CouplingLayer, FlowConfig, FlowModel, StyleStack, build_flow
-from .losses import LossConfig, batch_loss_graph
+from .losses import LossConfig, RowWorker, _alongside, batch_loss_graph
 from .numerics import AdamConfig, AdamOptimizer, Mlp, backward, no_grad, parameter
 from .prior import PriorConfig
 from .synthetic import SyntheticDataset, _derive_seeds, dataset_fingerprint
@@ -47,6 +54,14 @@ class TrainConfig:
     eval_every: int = 10
 
     def __post_init__(self):
+        for name in ("epochs", "batch_groups", "frames_per_group", "seed", "eval_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("lr", "beta1", "beta2", "eps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if min(self.epochs, self.batch_groups, self.frames_per_group) < 1:
             raise ConfigError("epochs, batch_groups, and frames_per_group must be positive")
         if self.lr < 0:
@@ -100,14 +115,16 @@ def make_batches(
     return _identity_batches(ds, cfg, rng)
 
 
-def dataset_mean_loss(model: FlowModel, ds: SyntheticDataset, cfg: TrainConfig) -> TraceRow:
+def dataset_mean_loss(
+    model: FlowModel, ds: SyntheticDataset, cfg: TrainConfig, worker: RowWorker | None = None
+) -> TraceRow:
     """Mean loss over the whole dataset with no parameter updates; grouping
     follows natural frame order, so the value is seed-independent."""
     sums = np.zeros(3)
     count = 0
     with no_grad():
         for batch in _identity_batches(ds, cfg):
-            total, nll, contrast = batch_loss_graph(model, batch, cfg.loss)
+            total, nll, contrast = batch_loss_graph(model, batch, cfg.loss, worker)
             num_stacks = sum(len(g) for g in batch)
             sums += num_stacks * np.array([nll.item(), contrast.item(), total.item()])
             count += num_stacks
@@ -125,25 +142,63 @@ def _first_non_finite_grad(model: FlowModel) -> str:
     return "no parameter gradient"
 
 
-def train(ds: SyntheticDataset, cfg: TrainConfig) -> tuple[Checkpoint, list[TraceRow]]:
-    """Run Adam on the combined loss; deterministic given dataset + config."""
-    if cfg.loss.prior.latent_dim != ds.config.code_dim:
-        raise ConfigError(
-            f"prior latent_dim {cfg.loss.prior.latent_dim} != dataset code_dim {ds.config.code_dim}"
-        )
-    if cfg.loss.prior.num_attrs != ds.config.num_attrs:
-        raise ConfigError(
-            f"prior num_attrs {cfg.loss.prior.num_attrs} != dataset num_attrs {ds.config.num_attrs}"
-        )
-    model_seed, batch_seed = _derive_seeds(cfg.seed)
-    model = build_flow(cfg.loss.prior, ds.config.num_codes, cfg.flow, model_seed)
-    params = model.parameters()
-    opt = AdamOptimizer(params, AdamConfig(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps))
-    rng = np.random.default_rng(batch_seed)
+def _balanced_share(params: list) -> tuple[int, ...]:
+    """Indices of about half of the parameter entries: arrays largest first,
+    each to the side holding fewer entries so far."""
+    load, mine = [0, 0], []
+    for i in sorted(range(len(params)), key=lambda i: -params[i].data.size):
+        side = int(load[1] < load[0])
+        load[side] += params[i].data.size
+        if side == 0:
+            mine.append(i)
+    return tuple(sorted(mine))
 
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _share_work(stack: contextlib.ExitStack, model: FlowModel, adam: AdamConfig) -> tuple[RowWorker | None, AdamOptimizer]:
+    """The row worker and this process's optimizer. The worker takes the
+    second row half of every batch and Adam over the other half of the
+    parameter entries, with BLAS on one thread in both processes while it
+    lives: two processes each driving a multithreaded BLAS on two CPUs ran
+    about four times slower than two single-threaded ones. Where fork is
+    missing or unsafe (other threads, a daemonic process) or the BLAS thread
+    count cannot be set, or only one CPU is usable, both halves run in turn
+    here and one optimizer updates every parameter."""
+    params = model.parameters()
+    can_fork = (
+        "fork" in multiprocessing.get_all_start_methods()
+        and threading.active_count() == 1  # fork copies only the calling thread
+        and not multiprocessing.current_process().daemon  # which may not have children
+        and _usable_cpus() > 1  # on one CPU the halves only take turns
+    )
+    if can_fork and stack.enter_context(blas.one_thread()):
+        mine = _balanced_share(params)
+        theirs = tuple(i for i in range(len(params)) if i not in mine)
+        worker = stack.enter_context(RowWorker(model, AdamOptimizer(params, adam, theirs).step))
+        log.info("training on two processes, each with BLAS on one thread")
+        return worker, AdamOptimizer(params, adam, mine)
+    log.info("training on one process: both row halves in turn")
+    return None, AdamOptimizer(params, adam)
+
+
+def _fit(
+    model: FlowModel,
+    ds: SyntheticDataset,
+    cfg: TrainConfig,
+    rng: np.random.Generator,
+    opt: AdamOptimizer,
+    worker: RowWorker | None,
+) -> list[TraceRow]:
+    """The loss trace: the baseline row, then one row per training epoch."""
     # row -1: the identity-initialized model's dataset mean, the baseline
     # every later epoch is compared against
-    trace: list[TraceRow] = [dataset_mean_loss(model, ds, cfg)]
+    trace: list[TraceRow] = [dataset_mean_loss(model, ds, cfg, worker)]
     for epoch in range(cfg.epochs):
         batches = make_batches(ds, cfg, rng)
         sums = np.zeros(3)
@@ -151,7 +206,7 @@ def train(ds: SyntheticDataset, cfg: TrainConfig) -> tuple[Checkpoint, list[Trac
         for bi, batch in enumerate(batches):
             opt.zero_grad()
             try:
-                total, nll, contrast = batch_loss_graph(model, batch, cfg.loss)
+                total, nll, contrast = batch_loss_graph(model, batch, cfg.loss, worker)
             except NumericError as exc:
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}, batch {bi}: {exc}") from exc
             num_stacks = sum(len(g) for g in batch)
@@ -159,7 +214,12 @@ def train(ds: SyntheticDataset, cfg: TrainConfig) -> tuple[Checkpoint, list[Trac
             count += num_stacks
             try:
                 backward(total)
-                opt.step()
+                if worker is None:
+                    opt.step()
+                else:
+                    # each process checks every gradient before it updates its share
+                    worker.step()
+                    _alongside(opt.step, worker)
             except NumericError as exc:
                 raise TrainingDivergedError(
                     f"non-finite gradient at epoch {epoch}, batch {bi}, first in {_first_non_finite_grad(model)}: {exc}"
@@ -174,6 +234,28 @@ def train(ds: SyntheticDataset, cfg: TrainConfig) -> tuple[Checkpoint, list[Trac
                 row.mean_nll,
                 row.mean_contrastive,
             )
+    return trace
+
+
+def train(ds: SyntheticDataset, cfg: TrainConfig) -> tuple[Checkpoint, list[TraceRow]]:
+    """Run Adam on the combined loss; deterministic given dataset + config,
+    and the same whether or not a row worker process takes half the work."""
+    if cfg.loss.prior.latent_dim != ds.config.code_dim:
+        raise ConfigError(
+            f"prior latent_dim {cfg.loss.prior.latent_dim} != dataset code_dim {ds.config.code_dim}"
+        )
+    if cfg.loss.prior.num_attrs != ds.config.num_attrs:
+        raise ConfigError(
+            f"prior num_attrs {cfg.loss.prior.num_attrs} != dataset num_attrs {ds.config.num_attrs}"
+        )
+    model_seed, batch_seed = _derive_seeds(cfg.seed)
+    model = build_flow(cfg.loss.prior, ds.config.num_codes, cfg.flow, model_seed)
+    adam = AdamConfig(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    rng = np.random.default_rng(batch_seed)
+
+    with contextlib.ExitStack() as stack:
+        worker, opt = _share_work(stack, model, adam)
+        trace = _fit(model, ds, cfg, rng, opt, worker)
     ckpt = Checkpoint(
         model=model,
         train_config=cfg,
@@ -199,15 +281,20 @@ def _mlp_to_dict(net: Mlp) -> dict:
     return {"activation": MLP_ACTIVATION, "layers": layers}
 
 
-def _mlp_from_dict(data: dict) -> Mlp:
+def _mlp_from_dict(data: dict, where: str) -> Mlp:
+    """One net of a checkpoint; ``where`` names it in errors, e.g.
+    "coupling 3 scale net"."""
     if data["activation"] != MLP_ACTIVATION:
-        raise CorruptCheckpointError(f"unknown net activation {data['activation']!r}")
+        raise CorruptCheckpointError(f"{where}: unknown net activation {data['activation']!r}")
     weights, biases = [], []
     for i, layer in enumerate(data["layers"]):
         w = np.array(layer["weight"], dtype=np.float64)
         b = np.array(layer["bias"], dtype=np.float64)
         if w.ndim != 2 or list(w.shape) != list(layer["shape"]):
-            raise CheckpointShapeError(f"net layer {i}: weight shape {w.shape} != declared {layer['shape']}")
+            raise CheckpointShapeError(f"{where} layer {i}: weight shape {w.shape} != declared {layer['shape']}")
+        for kind, values in (("weight", w), ("bias", b)):
+            if not np.all(np.isfinite(values)):
+                raise CorruptCheckpointError(f"{where} layer {i}: non-finite {kind} entry")
         weights.append(parameter(w))
         biases.append(parameter(b))
     try:
@@ -292,8 +379,11 @@ def load_checkpoint(path) -> Checkpoint:
         num_codes = payload["num_codes"]
         layers = []
         for i, entry in enumerate(payload["layers"]):
-            scale_net = _mlp_from_dict(entry["scale_net"])
-            shift_net = _mlp_from_dict(entry["shift_net"])
+            scale_net = _mlp_from_dict(entry["scale_net"], f"coupling {i} scale net")
+            shift_net = _mlp_from_dict(entry["shift_net"], f"coupling {i} shift net")
+            clamp = entry["scale_clamp"]
+            if isinstance(clamp, bool) or not isinstance(clamp, numbers.Real) or not 0 < clamp < math.inf:
+                raise CorruptCheckpointError(f"coupling {i}: scale_clamp must be a finite positive number, got {clamp!r}")
             # the coupling runs both nets side by side, layer for layer
             scale_shapes = [w.data.shape for w in scale_net.weights]
             shift_shapes = [w.data.shape for w in shift_net.weights]
@@ -302,7 +392,7 @@ def load_checkpoint(path) -> Checkpoint:
                     f"coupling {i}: scale net layers {scale_shapes} differ from shift net layers {shift_shapes}"
                 )
             layers.append(
-                CouplingLayer(entry["mask_parity"], scale_net, shift_net, entry["scale_clamp"], code_dim)
+                CouplingLayer(entry["mask_parity"], scale_net, shift_net, clamp, code_dim)
             )
         model = FlowModel(
             layers=layers, code_dim=code_dim, num_codes=num_codes, prior=prior, flow_config=flow_cfg

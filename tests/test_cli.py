@@ -3,6 +3,7 @@ whole-pipeline reproducibility."""
 
 import json
 import logging
+import multiprocessing
 import threading
 
 import pytest
@@ -250,28 +251,39 @@ class TestDispatch:
         )
         assert code == 2
 
-    def test_repeated_train_calls_share_one_idle_worker(self, tmp_path, config_file, monkeypatch):
-        """Split batches run on one process-wide worker thread: repeated
-        ``train`` commands add at most one thread in total, and every half
-        handed to the worker has finished when the command returns."""
-        from flowplug import losses
+    def test_repeated_train_calls_leave_no_worker_process(self, tmp_path, config_file, monkeypatch):
+        """Each ``train`` command forks one row worker and joins it before it
+        returns: repeated commands leave no child process and no thread
+        behind, and every worker exited cleanly."""
+        from flowplug import losses, training
 
         data = tmp_path / "data"
         assert dispatch(["gen-data", "--config", config_file, "--out", str(data)]) == 0
-        futures = []
-        real_submit = losses._WORKER.submit
+        procs = []
 
-        def recording_submit(*args, **kwargs):
-            futures.append(real_submit(*args, **kwargs))
-            return futures[-1]
+        class Recording(losses.RowWorker):
+            def __init__(self, *args):
+                super().__init__(*args)
+                procs.append(self._proc)
 
-        monkeypatch.setattr(losses._WORKER, "submit", recording_submit)
+        monkeypatch.setattr(training, "RowWorker", Recording)
         before = threading.active_count()
-        counts = []
         for i in range(3):
             argv = ["train", "--config", config_file, "--dataset", str(data / "dataset.jsonl"), "--out", str(tmp_path / f"t{i}")]
             assert dispatch(argv) == 0
-            counts.append(threading.active_count())
-            assert futures and all(f.done() for f in futures)
-        assert counts[0] - before <= 1
-        assert counts == [counts[0]] * 3
+            assert multiprocessing.active_children() == []
+            assert threading.active_count() == before
+            assert len(procs) == i + 1 and procs[-1].exitcode == 0
+
+    @pytest.mark.parametrize(
+        "train",
+        [{"lr": float("nan")}, {"beta1": float("inf")}, {"eps": float("nan")}, {"epochs": 2.5}, {"batch_groups": True}, {"seed": 1.0}],
+        ids=lambda t: next(iter(t)),
+    )
+    def test_invalid_train_config_reports_error(self, tmp_path, train, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"train": train}))
+        argv = ["train", "--config", str(bad), "--dataset", str(tmp_path / "ds.jsonl"), "--out", str(tmp_path / "t")]
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {next(iter(train))} must be")
+        assert multiprocessing.active_children() == []

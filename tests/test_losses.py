@@ -237,12 +237,9 @@ class TestTotalLoss:
         assert err.max() <= 1e-4
 
     def test_split_gradient_is_first_half_plus_second_half(self, monkeypatch):
-        """Groups of 7, 1 and 3 stacks split after the 6th stack; under rapid
-        thread switching every gradient is the calling thread's half plus the
-        worker's half, in that order, bit for bit."""
-        import sys
-        import threading
-
+        """Groups of 7, 1 and 3 stacks split after the 6th stack; every
+        gradient is the first half's plus the second half's, in that order,
+        bit for bit."""
         from flowplug import losses
 
         model = identity_model()
@@ -255,7 +252,7 @@ class TestTotalLoss:
         real_backward = losses.packed_backward
 
         def recording(model_, g_rows, cond, kept):
-            calls.append((threading.current_thread() is not threading.main_thread(), g_rows.copy(), cond, kept))
+            calls.append((g_rows.copy(), cond, kept))
             return real_backward(model_, g_rows, cond, kept)
 
         monkeypatch.setattr(losses, "packed_backward", recording)
@@ -263,18 +260,48 @@ class TestTotalLoss:
         def loss(_):
             return batch_loss_graph(model, groups, cfg)[0]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            grads = [gradient(loss, model.parameters()) for _ in range(20)]
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(calls) == 40
-        first, second = sorted(calls[:2], key=lambda call: call[0])
-        assert first[1].shape[0] == 6 * model.num_codes and second[1].shape[0] == 5 * model.num_codes
-        halves = [real_backward(model, g_rows, cond, kept) for _, g_rows, cond, kept in (first, second)]
+        grads = [gradient(loss, model.parameters()) for _ in range(3)]
+        assert len(calls) == 6
+        first, second = calls[:2]
+        assert first[0].shape[0] == 6 * model.num_codes and second[0].shape[0] == 5 * model.num_codes
+        halves = [real_backward(model, g_rows, cond, kept) for g_rows, cond, kept in (first, second)]
         want = np.concatenate([(a + b).ravel() for a, b in zip(*halves)])
         assert all(np.array_equal(g, want) for g in grads)
+
+    def test_worker_process_matches_the_halves_in_turn(self):
+        """The same batch (11 stacks, split inside the group of 7) with its
+        second half on a forked ``RowWorker``: the loss and every gradient
+        equal the in-turn result bit for bit, call after call, and closing
+        the worker joins it and leaves private parameter arrays."""
+        import multiprocessing
+
+        from flowplug.losses import RowWorker
+        from flowplug.numerics import backward, zero_grads
+
+        model = identity_model()
+        rng = np.random.default_rng(13)
+        for p in model.parameters():
+            p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
+        groups = [[make_stack(rng, model, gid, i) for i in range(size)] for gid, size in enumerate((7, 1, 3))]
+        cfg = LossConfig(prior=model.prior)
+        params = model.parameters()
+
+        def total_and_grads(worker):
+            zero_grads(params)
+            total = batch_loss_graph(model, groups, cfg, worker)[0]
+            backward(total)
+            return total.item(), [p.grad.copy() for p in params]
+
+        want_total, want_grads = total_and_grads(None)
+        with RowWorker(model, lambda: None) as worker:
+            runs = [total_and_grads(worker) for _ in range(3)]
+            with no_grad():
+                assert batch_loss_graph(model, groups, cfg, worker)[0].item() == want_total
+        for total, grads in runs:
+            assert total == want_total
+            assert all(np.array_equal(a, b) for a, b in zip(grads, want_grads))
+        assert multiprocessing.active_children() == []
+        assert all(p.data.base is None and p.grad is None for p in params)
 
     def test_loss_records_one_tape_node(self):
         model = identity_model()

@@ -212,6 +212,17 @@ class TestSerialization:
         with pytest.raises(DatasetError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("header", ["[1]", '"flowplug-ds-v1"', "null", "3"])
+    def test_header_that_is_not_an_object_names_line_1(self, tmp_path, header, capsys):
+        from flowplug.cli import dispatch
+
+        path = tmp_path / "ds.jsonl"
+        path.write_text(header + "\n")
+        with pytest.raises(DatasetError, match="line 1"):
+            load_dataset(path)
+        assert dispatch(["train", "--dataset", str(path), "--out", str(tmp_path / "t")]) == 2
+        assert capsys.readouterr().err.startswith("error: line 1: dataset header must be a JSON object")
+
     @staticmethod
     def with_third_line_edited(tmp_path, edit):
         """A saved SMALL dataset whose third line (the second record) went

@@ -4,12 +4,17 @@ versioned checkpoint format."""
 import dataclasses
 import io
 import json
-import threading
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flowplug
 from flowplug.errors import (
     CheckpointShapeError,
     CheckpointVersionError,
@@ -189,22 +194,161 @@ class TestTrain:
         [("packed_forward", "non-finite loss at epoch 0, batch 0"), ("packed_backward", "non-finite gradient at epoch 0, batch 0")],
     )
     def test_error_raised_on_the_worker_reraises_in_train(self, monkeypatch, target, message):
+        """A failure in the worker process's half re-raises in ``train`` as the
+        located error, and the worker is joined before ``train`` raises."""
         import flowplug.losses as losses
         from flowplug.errors import NumericError
 
         real = getattr(losses, target)
+        test_pid = os.getpid()
 
         def failing_on_worker(model, rows, cond, kept):
             # the baseline loss keeps nothing; only training halves fail
-            if kept is not None and threading.current_thread() is not threading.main_thread():
+            if kept is not None and os.getpid() != test_pid:
                 raise NumericError("injected on the worker")
             return real(model, rows, cond, kept)
 
         monkeypatch.setattr(losses, target, failing_on_worker)
         ds = generate_dataset(SMALL_DS, seed=6)
-        with pytest.raises(TrainingDivergedError, match=message):
+        with pytest.raises(TrainingDivergedError, match=message + ".*injected on the worker"):
             train(ds, small_train_config(epochs=1))
-        assert losses._WORKER.submit(threading.get_ident).result(timeout=10) != threading.get_ident()
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_process_outlives_train(self, monkeypatch):
+        import flowplug.training as training
+
+        ds = generate_dataset(SMALL_DS, seed=6)
+        train(ds, small_train_config(epochs=1))
+        assert multiprocessing.active_children() == []
+
+        def failing(ds, cfg, rng):
+            raise ValueError("batching failed")
+
+        monkeypatch.setattr(training, "make_batches", failing)
+        with pytest.raises(ValueError, match="batching failed"):
+            train(ds, small_train_config(epochs=1))
+        assert multiprocessing.active_children() == []
+
+    def test_a_failed_fork_is_a_worker_error(self, monkeypatch):
+        from flowplug.errors import WorkerError
+
+        def failing_fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        with pytest.raises(WorkerError, match="cannot start the training worker process"):
+            train(generate_dataset(SMALL_DS, seed=6), small_train_config(epochs=1))
+
+    def test_worker_and_in_turn_training_agree(self, monkeypatch, caplog):
+        """With the worker process (split Adam) and without it (no settable
+        BLAS thread count, so both halves in turn and one optimizer), the
+        parameters and the trace are the same, bit for bit."""
+        from flowplug import blas
+
+        ds = generate_dataset(SMALL_DS, seed=8)
+        cfg = small_train_config(epochs=2, frames_per_group=4)
+        with caplog.at_level("INFO", logger="flowplug.training"):
+            ckpt_a, trace_a = train(ds, cfg)
+            monkeypatch.setattr(blas, "_thread_calls", lambda: None)
+            ckpt_b, trace_b = train(ds, cfg)
+        modes = [r.getMessage() for r in caplog.records if r.getMessage().startswith("training on")]
+        assert modes == ["training on two processes, each with BLAS on one thread", "training on one process: both row halves in turn"]
+        assert trace_a == trace_b
+        for a, b in zip(ckpt_a.model.parameters(), ckpt_b.model.parameters()):
+            assert np.array_equal(a.data, b.data)
+
+    def test_blas_runs_on_one_thread_while_training_and_is_restored(self, monkeypatch):
+        import flowplug.training as training
+        from flowplug import blas
+
+        calls = blas._thread_calls()
+        if calls is None:
+            pytest.skip("no settable OpenBLAS thread count")
+        get, set_ = calls
+        before = get()
+        real_make_batches = training.make_batches
+        seen = []
+
+        def recording(ds, cfg, rng):
+            seen.append(get())
+            if len(seen) == 3:
+                raise ValueError("stop")
+            return real_make_batches(ds, cfg, rng)
+
+        monkeypatch.setattr(training, "make_batches", recording)
+        ds = generate_dataset(SMALL_DS, seed=6)
+        set_(2)
+        try:
+            train(ds, small_train_config(epochs=2))
+            assert get() == 2
+            with pytest.raises(ValueError, match="stop"):
+                train(ds, small_train_config(epochs=2))
+            assert get() == 2
+        finally:
+            set_(before)
+        assert seen == [1, 1, 1]
+
+    def test_a_killed_worker_fails_train_with_a_typed_error(self, tmp_path):
+        """The worker is killed between epochs: ``train`` raises WorkerError
+        instead of waiting on it, and leaves no child process. Run in a
+        subprocess with a time limit, so a hang fails the test."""
+        script = textwrap.dedent(
+            """
+            import multiprocessing, os, signal
+            import flowplug.training as training
+            from flowplug.errors import WorkerError
+            from flowplug.flow import FlowConfig
+            from flowplug.losses import LossConfig
+            from flowplug.prior import PriorConfig
+            from flowplug.synthetic import SyntheticConfig, generate_dataset
+
+            ds = generate_dataset(SyntheticConfig(num_identities=10, frames_per_identity=6, num_attrs=2,
+                                                  code_dim=10, num_codes=2, identity_dim=4), seed=6)
+            cfg = training.TrainConfig(loss=LossConfig(prior=PriorConfig(num_attrs=2, latent_dim=10, sigma=0.5)),
+                                       flow=FlowConfig(num_couplings=2, hidden_width=8), epochs=3,
+                                       batch_groups=3, frames_per_group=6)
+            real_make_batches, epochs = training.make_batches, []
+
+            def killing(ds, cfg, rng):
+                epochs.append(len(epochs))
+                if epochs[-1] == 1:
+                    for child in multiprocessing.active_children():
+                        os.kill(child.pid, signal.SIGKILL)
+                return real_make_batches(ds, cfg, rng)
+
+            training.make_batches = killing
+            try:
+                training.train(ds, cfg)
+            except WorkerError as exc:
+                print("WorkerError:", exc)
+            print("children:", len(multiprocessing.active_children()))
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(flowplug.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "WorkerError: the training worker process" in proc.stdout
+        assert "children: 0" in proc.stdout
+
+    def test_checkpoints_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """One epoch of the default model through ``flowplug train``, in
+        processes started with OPENBLAS_NUM_THREADS=1 and =2: the checkpoint
+        and the loss trace are the same bytes."""
+        from flowplug.cli import dispatch
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {"epochs": 1}}))
+        assert dispatch(["gen-data", "--config", str(config), "--out", str(tmp_path / "data"), "--seed", "1"]) == 0
+        src = str(Path(flowplug.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            argv = ["train", "--config", str(config), "--dataset", str(tmp_path / "data" / "dataset.jsonl"), "--out", str(out), "--seed", "1"]
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-m", "flowplug.cli", *argv], env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_bytes() for name in ("checkpoint.json", "loss_trace.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_dimension_mismatch_rejected(self):
         ds = generate_dataset(SMALL_DS, seed=9)
@@ -267,6 +411,32 @@ class TestCheckpoint:
         payload["layers"][1]["shift_net"]["activation"] = activation
         path.write_text(json.dumps(payload))
         with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("clamp", [0, -1.0, float("nan"), float("inf"), "2.0", True, None])
+    def test_scale_clamp_must_be_a_finite_positive_number(self, tmp_path, clamp):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(self.make_checkpoint(), path)
+        payload = json.loads(path.read_text())
+        payload["layers"][1]["scale_clamp"] = clamp
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptCheckpointError, match="coupling 1: scale_clamp must be a finite positive number"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("net, kind", [("scale_net", "weight"), ("shift_net", "bias")])
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_non_finite_parameter_names_its_coupling_net_and_layer(self, tmp_path, net, kind, value):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(self.make_checkpoint(), path)
+        payload = json.loads(path.read_text())
+        layer = payload["layers"][1][net]["layers"][1]
+        if kind == "weight":
+            layer["weight"][0][0] = value
+        else:
+            layer["bias"][0] = value
+        path.write_text(json.dumps(payload))
+        name = net.split("_")[0]
+        with pytest.raises(CorruptCheckpointError, match=f"coupling 1 {name} net layer 1: non-finite {kind} entry"):
             load_checkpoint(path)
 
     def test_truncated_file_is_corrupt(self, tmp_path):
