@@ -277,7 +277,9 @@ def batch_loss_graph(
     the rest on ``worker``, a ``RowWorker`` of this model, or else after the
     first half on this thread, for the forward and again for the backward.
     The state is the halves concatenated, and each gradient is first half +
-    second half, so results do not depend on where the halves run."""
+    second half, so results do not depend on where the halves run. With
+    ``worker``, the gradients are always its shared ``grads``, which the
+    worker's optimizer reads, also for a one-stack batch."""
     if cfg.prior != model.prior:
         raise ConfigError("loss prior differs from the model's prior snapshot")
     if worker is not None and worker.model is not model:
@@ -352,7 +354,13 @@ def batch_loss_graph(
         g_state[:, n] = -1.0 / num_stacks
         g_state *= g_out
         if num_stacks == 1:
-            return packed_backward(model, g_state, cond, kept)
+            grads = packed_backward(model, g_state, cond, kept)
+            if worker is None:
+                return grads
+            # the worker's optimizer reads its gradients from the shared arrays
+            for out, g in zip(worker.grads, grads):
+                out[...] = g
+            return worker.grads
         second.backward(g_state[cut:])
         first, rest = _alongside(lambda: packed_backward(model, g_state[:cut], cond[:cut], kept), second)
         return [np.add(a, b, out=b) for a, b in zip(first, rest)]

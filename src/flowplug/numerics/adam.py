@@ -50,28 +50,22 @@ def _update_in_place(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
 class AdamOptimizer:
     """Stateful Adam for training loops: updates each parameter's ``data``
     and its first and second moments ``m``, ``v`` in place; ``t`` counts
-    the steps taken. ``share`` holds the indices of the parameters this
-    optimizer updates, all of them by default. Every gradient is checked
-    before any is applied, so optimizers over complementary shares of the
-    same gradients all update, or all raise."""
+    the steps taken."""
 
     params: list[Tensor]
     cfg: AdamConfig = field(default_factory=AdamConfig)
-    share: tuple[int, ...] | None = None
 
     def __post_init__(self):
         self.t = 0
-        if self.share is None:
-            self.share = tuple(range(len(self.params)))
-        self.m = [np.zeros_like(self.params[i].data) for i in self.share]
-        self.v = [np.zeros_like(self.params[i].data) for i in self.share]
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
         _check_finite(grads)
         self.t += 1
-        for i, m, v in zip(self.share, self.m, self.v):
-            _update_in_place(self.params[i].data, grads[i], m, v, self.cfg, self.t)
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            _update_in_place(p.data, g, m, v, self.cfg, self.t)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -29,7 +29,8 @@ from .errors import (
 from .fileio import atomic_write
 from .flow import CouplingLayer, FlowConfig, FlowModel, StyleStack, build_flow
 from .losses import LossConfig, RowWorker, _alongside, batch_loss_graph
-from .numerics import AdamConfig, AdamOptimizer, Mlp, backward, no_grad, parameter
+from .numerics import AdamConfig, AdamOptimizer, Mlp, backward, no_grad, parameter, zero_grads
+from .numerics.adam import _check_finite
 from .prior import PriorConfig
 from .synthetic import SyntheticDataset, _derive_seeds, dataset_fingerprint
 
@@ -142,16 +143,15 @@ def _first_non_finite_grad(model: FlowModel) -> str:
     return "no parameter gradient"
 
 
-def _balanced_share(params: list) -> tuple[int, ...]:
-    """Indices of about half of the parameter entries: arrays largest first,
-    each to the side holding fewer entries so far."""
-    load, mine = [0, 0], []
+def _balanced_split(params: list) -> tuple[list, list]:
+    """The parameters in two lists of about half of the entries each, in
+    model order: arrays largest first, each to the side holding fewer
+    entries so far."""
+    load, sides = [0, 0], [0] * len(params)
     for i in sorted(range(len(params)), key=lambda i: -params[i].data.size):
-        side = int(load[1] < load[0])
+        sides[i] = side = int(load[1] < load[0])
         load[side] += params[i].data.size
-        if side == 0:
-            mine.append(i)
-    return tuple(sorted(mine))
+    return [p for p, s in zip(params, sides) if s == 0], [p for p, s in zip(params, sides) if s == 1]
 
 
 def _usable_cpus() -> int:
@@ -178,11 +178,10 @@ def _share_work(stack: contextlib.ExitStack, model: FlowModel, adam: AdamConfig)
         and _usable_cpus() > 1  # on one CPU the halves only take turns
     )
     if can_fork and stack.enter_context(blas.one_thread()):
-        mine = _balanced_share(params)
-        theirs = tuple(i for i in range(len(params)) if i not in mine)
-        worker = stack.enter_context(RowWorker(model, AdamOptimizer(params, adam, theirs).step))
+        mine, theirs = _balanced_split(params)
+        worker = stack.enter_context(RowWorker(model, AdamOptimizer(theirs, adam).step))
         log.info("training on two processes, each with BLAS on one thread")
-        return worker, AdamOptimizer(params, adam, mine)
+        return worker, AdamOptimizer(mine, adam)
     log.info("training on one process: both row halves in turn")
     return None, AdamOptimizer(params, adam)
 
@@ -199,12 +198,15 @@ def _fit(
     # row -1: the identity-initialized model's dataset mean, the baseline
     # every later epoch is compared against
     trace: list[TraceRow] = [dataset_mean_loss(model, ds, cfg, worker)]
+    params = model.parameters()
     for epoch in range(cfg.epochs):
         batches = make_batches(ds, cfg, rng)
         sums = np.zeros(3)
         count = 0
         for bi, batch in enumerate(batches):
             opt.zero_grad()
+            if worker is not None:
+                zero_grads(params)  # the worker's share of the gradients too
             try:
                 total, nll, contrast = batch_loss_graph(model, batch, cfg.loss, worker)
             except NumericError as exc:
@@ -217,7 +219,8 @@ def _fit(
                 if worker is None:
                     opt.step()
                 else:
-                    # each process checks every gradient before it updates its share
+                    # checked here, so both processes update their share or neither does
+                    _check_finite([p.grad for p in params])
                     worker.step()
                     _alongside(opt.step, worker)
             except NumericError as exc:

@@ -239,14 +239,26 @@ class TestTrain:
         with pytest.raises(WorkerError, match="cannot start the training worker process"):
             train(generate_dataset(SMALL_DS, seed=6), small_train_config(epochs=1))
 
-    def test_worker_and_in_turn_training_agree(self, monkeypatch, caplog):
+    @pytest.mark.parametrize(
+        "batching",
+        [
+            dict(frames_per_group=4),
+            # groups of 5 and 1 frames, one group a batch: split batches
+            # alternate with one-stack batches, which are not split
+            dict(frames_per_group=5, batch_groups=1),
+            # every batch one stack
+            dict(frames_per_group=1, batch_groups=1),
+        ],
+    )
+    def test_worker_and_in_turn_training_agree(self, monkeypatch, caplog, batching):
         """With the worker process (split Adam) and without it (no settable
         BLAS thread count, so both halves in turn and one optimizer), the
-        parameters and the trace are the same, bit for bit."""
+        parameters and the trace are the same, bit for bit, also where some
+        or all batches hold one stack and run on this process alone."""
         from flowplug import blas
 
         ds = generate_dataset(SMALL_DS, seed=8)
-        cfg = small_train_config(epochs=2, frames_per_group=4)
+        cfg = small_train_config(epochs=2, **batching)
         with caplog.at_level("INFO", logger="flowplug.training"):
             ckpt_a, trace_a = train(ds, cfg)
             monkeypatch.setattr(blas, "_thread_calls", lambda: None)
