@@ -40,12 +40,24 @@ def _check_attr(model: FlowModel, attr_index: int) -> None:
         raise ConfigError(f"attr_index {attr_index} out of range [0, {model.prior.num_attrs})")
 
 
+def _check_stacks(model: FlowModel, stacks: list[StyleStack]) -> None:
+    for st in stacks:
+        if st.num_codes != model.num_codes or st.code_dim != model.code_dim:
+            raise DimensionError("stack dimensions do not match the model")
+
+
+def batch_latents(model: FlowModel, stacks: list[StyleStack]) -> np.ndarray:
+    """(len(stacks), num_codes, code_dim) latents of the stacks, encoded in
+    one flow call."""
+    _check_stacks(model, stacks)
+    k = model.num_codes
+    z, _ = codes_to_latents(model, np.concatenate([st.codes for st in stacks]), np.tile(np.arange(k), len(stacks)))
+    return z.reshape(len(stacks), k, model.code_dim)
+
+
 def stack_latents(model: FlowModel, stack: StyleStack) -> np.ndarray:
     """(num_codes, code_dim) latent rows of one stack."""
-    if stack.num_codes != model.num_codes or stack.code_dim != model.code_dim:
-        raise DimensionError("stack dimensions do not match the model")
-    z, _ = codes_to_latents(model, stack.codes, np.arange(stack.num_codes))
-    return z
+    return batch_latents(model, [stack])[0]
 
 
 def _decode(model: FlowModel, latents: np.ndarray, template: StyleStack) -> StyleStack:
@@ -91,12 +103,21 @@ def minimal_edit_batch(
     tau: float = 0.8,
     delta: float = 0.25,
     max_steps: int = 40,
+    *,
+    latents: np.ndarray | None = None,
 ) -> list[EditResult]:
     """Walk each stack's attribute coordinate in shared increments of
     direction*delta (applied at every layer) until the probe's confidence
     for the target class reaches tau. Stacks converge independently: each
     gets the steps it would get in a batch of its own, and codes equal to
-    that batch's up to batched-BLAS rounding."""
+    that batch's up to batched-BLAS rounding.
+
+    Step 0 is the unedited stack, so it is gated on the input codes and a
+    stack accepted there (or left there by ``max_steps=0``) gets a copy of
+    them; decoding starts at step 1. ``latents`` are the stacks' latents
+    from ``batch_latents``, for callers that search the same stacks more
+    than once; without them the stacks are encoded when step 0 leaves one
+    pending."""
     _check_attr(model, attr_index)
     if direction not in (1, -1):
         raise ConfigError("direction must be +1 or -1")
@@ -106,21 +127,22 @@ def minimal_edit_batch(
         raise ConfigError("max_steps must be non-negative")
     if not stacks:
         return []
+    _check_stacks(model, stacks)
     k = model.num_codes
-    for st in stacks:
-        if st.num_codes != k or st.code_dim != model.code_dim:
-            raise DimensionError("stack dimensions do not match the model")
-    all_codes = np.concatenate([st.codes for st in stacks], axis=0)
-    z, _ = codes_to_latents(model, all_codes, np.tile(np.arange(k), len(stacks)))
-    base = z.reshape(len(stacks), k, model.code_dim)
+    if latents is not None and np.shape(latents) != (len(stacks), k, model.code_dim):
+        raise DimensionError(f"latents have shape {np.shape(latents)}, expected {(len(stacks), k, model.code_dim)}")
     results: list[EditResult | None] = [None] * len(stacks)
     pending = np.arange(len(stacks))
+    codes = np.stack([st.codes for st in stacks])
     for step in range(max_steps + 1):
-        z = base[pending].copy()
-        z[:, :, attr_index] += step * delta * direction
-        flat = z.reshape(-1, model.code_dim)
-        codes, _ = latents_to_codes(model, flat, np.tile(np.arange(k), len(pending)))
-        codes = codes.reshape(len(pending), k, model.code_dim)
+        if step > 0:
+            if latents is None:
+                latents = batch_latents(model, stacks)
+            z = latents[pending].copy()
+            z[:, :, attr_index] += step * delta * direction
+            flat = z.reshape(-1, model.code_dim)
+            codes, _ = latents_to_codes(model, flat, np.tile(np.arange(k), len(pending)))
+            codes = codes.reshape(len(pending), k, model.code_dim)
         conf = np.asarray(probe.target_confidence(codes, attr_index, direction), dtype=np.float64)
         accepted = conf >= tau
         last_round = step == max_steps

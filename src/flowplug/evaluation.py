@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configio import dataclass_to_jsonable
-from .editing import EditResult, minimal_edit_batch
+from .editing import EditResult, batch_latents, minimal_edit_batch
 from .errors import ConfigError, DatasetError, DimensionError, UndefinedResultError
 from .fileio import atomic_write
 from .flow import FlowModel, StyleStack
@@ -259,8 +259,11 @@ def edit_sweep(
     tau: float,
     delta: float,
     max_steps: int,
+    *,
+    latents: np.ndarray | None = None,
 ) -> EditSweep:
-    results = minimal_edit_batch(model, stacks, attr_index, direction, probe, tau, delta, max_steps)
+    """``latents``, when given, are ``batch_latents(model, stacks)``."""
+    results = minimal_edit_batch(model, stacks, attr_index, direction, probe, tau, delta, max_steps, latents=latents)
     pre_codes = np.stack([st.codes for st in stacks])
     post_codes = np.stack([r.stack.codes for r in results])
     pre_scores = probe.raw_scores(pre_codes)
@@ -443,13 +446,15 @@ def run_evaluation(
     cfg: EvalConfig,
     dataset_seed: int = 0,
 ) -> EvalReport:
-    """One sweep per (binary attribute, direction) feeds all three tables."""
+    """One sweep per (binary attribute, direction) feeds all three tables;
+    the stacks are encoded once for all of them."""
     attrs = _binary_attrs(probe.attr_kinds)
+    latents = batch_latents(model, eval_stacks)
     sweeps: dict[tuple[int, int], EditSweep] = {}
     for a in attrs:
         for direction in (1, -1):
             sweeps[(a, direction)] = edit_sweep(
-                model, probe, eval_stacks, a, direction, cfg.tau, cfg.delta, cfg.max_steps
+                model, probe, eval_stacks, a, direction, cfg.tau, cfg.delta, cfg.max_steps, latents=latents
             )
     accuracy = accuracy_protocol(probe, eval_stacks, sweeps)
     ranks = rank_protocol(probe, sweeps)

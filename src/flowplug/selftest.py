@@ -172,7 +172,8 @@ def check_checkpoint() -> None:
         loaded = load_checkpoint(path)
         for a, b in zip(ckpt.model.parameters(), loaded.model.parameters()):
             assert np.array_equal(a.data, b.data), "checkpoint round trip is not bit-exact"
-        bad = open(path).read().replace("flowplug-ckpt-v1", "flowplug-ckpt-v9")
+        with open(path) as fh:
+            bad = fh.read().replace("flowplug-ckpt-v1", "flowplug-ckpt-v9")
         with open(path, "w") as fh:
             fh.write(bad)
         try:

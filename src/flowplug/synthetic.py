@@ -360,17 +360,25 @@ def load_dataset(path, ground_truth_path=None) -> SyntheticDataset:
     for ln, line in enumerate(lines[1:], start=2):
         try:
             rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError(f"expected a JSON object, got {line[:40]!r}")
+            ids = (rec["identity_id"], rec["frame_id"])
+            # bool is a subclass of int; a float id would truncate silently
+            if any(type(i) is not int for i in ids):
+                raise ValueError(f"identity_id and frame_id must be JSON integers, got {list(ids)}")
             st = StyleStack(
                 codes=np.array(rec["codes"], dtype=np.float64),
                 labels=np.array(rec["labels"], dtype=np.float64),
-                identity_id=int(rec["identity_id"]),
-                frame_id=int(rec["frame_id"]),
+                identity_id=ids[0],
+                frame_id=ids[1],
             )
-        except (json.JSONDecodeError, KeyError, ValueError, DimensionError) as exc:
+        except (KeyError, TypeError, ValueError, DimensionError) as exc:
             raise DatasetError(f"bad dataset record on line {ln}: {exc}") from exc
         key = (st.identity_id, st.frame_id)
         problem = None
-        if st.codes.shape != (cfg.num_codes, cfg.code_dim):
+        if not (np.isfinite(st.codes).all() and np.isfinite(st.labels).all()):
+            problem = "codes and labels must be finite"
+        elif st.codes.shape != (cfg.num_codes, cfg.code_dim):
             problem = f"codes have shape {st.codes.shape}, header promises ({cfg.num_codes}, {cfg.code_dim})"
         elif st.labels.shape != (cfg.num_attrs,):
             problem = f"labels have shape {st.labels.shape}, header promises ({cfg.num_attrs},)"

@@ -28,3 +28,23 @@ def fail_after_writes(monkeypatch):
         monkeypatch.setattr(fileio, "open", failing_open, raising=False)
 
     return arm
+
+
+@pytest.fixture
+def flow_rows(monkeypatch):
+    """``flow_rows(name)`` wraps ``flowplug.editing.<name>`` (the flow's
+    ``codes_to_latents`` or ``latents_to_codes``) and returns the list that
+    each later call appends its row count to."""
+    import flowplug.editing as editing
+
+    def count(name):
+        rows, original = [], getattr(editing, name)
+
+        def counting(model, x, layer_indices):
+            rows.append(x.shape[0])
+            return original(model, x, layer_indices)
+
+        monkeypatch.setattr(editing, name, counting)
+        return rows
+
+    return count

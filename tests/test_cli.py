@@ -1,10 +1,12 @@
 """CLI surface: subcommand wiring, config validation, file outputs, and
 whole-pipeline reproducibility."""
 
+import gc
 import json
 import logging
 import multiprocessing
 import threading
+import warnings
 
 import pytest
 
@@ -75,9 +77,14 @@ class TestDispatch:
         assert exc.value.code != 0
 
     def test_selftest_passes(self, capsys):
-        assert dispatch(["selftest"]) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert dispatch(["selftest"]) == 0
+            gc.collect()
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        # every file the suites open is closed
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_pipeline_and_determinism(self, tmp_path, config_file, capsys):
         d1 = tmp_path / "r1"

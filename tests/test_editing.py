@@ -6,12 +6,13 @@ import pytest
 
 from flowplug.editing import (
     EditRequest,
+    batch_latents,
     edit_attribute,
     interpolate_attribute,
     minimal_edit_batch,
     stack_latents,
 )
-from flowplug.errors import ConfigError
+from flowplug.errors import ConfigError, DimensionError
 from flowplug.flow import FlowConfig, StyleStack, build_flow, latents_to_codes
 from flowplug.prior import PriorConfig
 
@@ -47,6 +48,16 @@ class SigmoidProbe:
     def target_confidence(self, codes, attr_index, direction):
         score = codes.mean(axis=1)[:, attr_index]
         return 1.0 / (1.0 + np.exp(-self.gain * direction * (score - self.center * direction)))
+
+
+class ConstantProbe:
+    """The same confidence for every stack."""
+
+    def __init__(self, conf):
+        self.conf = conf
+
+    def target_confidence(self, codes, attr_index, direction):
+        return np.full(codes.shape[0], self.conf)
 
 
 @pytest.fixture(scope="module")
@@ -156,8 +167,61 @@ class TestMinimalEdit:
         base = StyleStack(codes=codes, labels=stack.labels, identity_id=0, frame_id=0)
         result = minimal_edit_batch(model, [base], 0, 1, SigmoidProbe(gain=4.0), tau=0.8)[0]
         assert result.converged and result.steps_used == 0
-        rel = np.abs(result.stack.codes - base.codes).max() / np.abs(base.codes).max()
-        assert rel <= 1e-6
+        # step 0 is the unedited stack: its own codes, not their round trip
+        assert np.array_equal(result.stack.codes, base.codes)
+        result.stack.codes[0, 0] += 1.0
+        assert np.array_equal(base.codes, codes)
+
+    def test_step_zero_acceptance_runs_no_flow(self, flow_rows):
+        model = make_model()
+        stacks = [make_stack(model, seed=s) for s in range(4)]
+        decoded = flow_rows("latents_to_codes")
+        encoded = flow_rows("codes_to_latents")
+        results = minimal_edit_batch(model, stacks, 0, 1, ConstantProbe(1.0), tau=0.8)
+        assert decoded == [] and encoded == []
+        for st, res in zip(stacks, results):
+            assert res.converged and res.steps_used == 0
+            assert np.array_equal(res.stack.codes, st.codes)
+
+    def test_zero_max_steps_keeps_input_codes(self, flow_rows):
+        model = make_model()
+        stacks = [make_stack(model, seed=s) for s in range(3)]
+        decoded = flow_rows("latents_to_codes")
+        results = minimal_edit_batch(model, stacks, 0, 1, ConstantProbe(0.5), tau=0.8, max_steps=0)
+        assert decoded == []
+        for st, res in zip(stacks, results):
+            assert not res.converged and res.steps_used == 0
+            assert np.array_equal(res.stack.codes, st.codes)
+            assert not np.shares_memory(res.stack.codes, st.codes)
+
+    def test_decoded_rows_count_steps_after_zero(self, flow_rows):
+        model = make_model()
+        stacks = [make_stack(model, seed=s) for s in range(8)]
+        decoded = flow_rows("latents_to_codes")
+        results = minimal_edit_batch(model, stacks, 0, 1, SigmoidProbe(gain=2.0), tau=0.6, max_steps=12)
+        steps = [r.steps_used for r in results]
+        assert 0 in steps and {r.converged for r in results} == {True, False}
+        assert sum(decoded) == model.num_codes * sum(steps)
+        assert len(decoded) == max(steps)
+
+    def test_given_latents_match_encoding_inside(self):
+        model = make_model()
+        probe = SigmoidProbe(gain=2.0)
+        stacks = [make_stack(model, seed=s) for s in range(8)]
+        plain = minimal_edit_batch(model, stacks, 0, 1, probe, tau=0.6, max_steps=12)
+        given = minimal_edit_batch(model, stacks, 0, 1, probe, tau=0.6, max_steps=12, latents=batch_latents(model, stacks))
+        assert {r.converged for r in plain} == {True, False}
+        for a, b in zip(plain, given):
+            assert (a.steps_used, a.converged) == (b.steps_used, b.converged)
+            assert np.array_equal(a.stack.codes, b.stack.codes)
+
+    @pytest.mark.parametrize("cut", [(slice(1, None),), (Ellipsis, slice(1, None))])
+    def test_wrong_shape_latents_rejected(self, cut):
+        model = make_model()
+        stacks = [make_stack(model, seed=s) for s in range(3)]
+        latents = batch_latents(model, stacks)[cut]
+        with pytest.raises(DimensionError):
+            minimal_edit_batch(model, stacks, 0, 1, SigmoidProbe(), latents=latents)
 
     def test_steps_match_exhaustive_scan(self):
         model = make_model(perturb=0.0)

@@ -315,6 +315,28 @@ class TestProtocols:
         finite_ret = report.accuracy.retention[~np.isnan(report.accuracy.retention)]
         assert np.all((finite_ret >= 0.0) & (finite_ret <= 100.0))
 
+    def test_run_evaluation_encodes_once_and_decodes_only_steps(self, monkeypatch, flow_rows):
+        ds, model, probe = self.make_trivial_setup()
+        stacks = ds.stacks[:30]
+        encoded, decoded = flow_rows("codes_to_latents"), flow_rows("latents_to_codes")
+        sweeps = []
+
+        def recording_sweep(*args, **kwargs):
+            sweeps.append(edit_sweep(*args, **kwargs))
+            return sweeps[-1]
+
+        monkeypatch.setattr(evaluation, "edit_sweep", recording_sweep)
+        run_evaluation(model, probe, stacks, ds.backbone, ds.config, EvalConfig(num_eval=30))
+        assert encoded == [len(stacks) * SMALL.num_codes]
+        steps = [r.steps_used for sw in sweeps for r in sw.results]
+        assert len(sweeps) == 2 * SMALL.num_attrs and 0 in steps and max(steps) > 0
+        assert sum(decoded) == SMALL.num_codes * sum(steps)
+        # a pair accepted at step 0 keeps its codes, so its oracle drift is exactly 0
+        unedited = [(st, r.stack) for sw in sweeps for st, r in zip(stacks, sw.results) if r.converged and r.steps_used == 0]
+        assert unedited
+        stats = identity_drift(ds.backbone, [b for b, _ in unedited], [a for _, a in unedited], ds.config)
+        assert stats.identity_mse == 0.0 and stats.nuisance_mse == 0.0
+
 
 class TestReportSerialization:
     @staticmethod

@@ -265,6 +265,31 @@ class TestSerialization:
         with pytest.raises(DatasetError, match=r"line 3: .* repeats line 2"):
             load_dataset(self.with_third_line_edited(tmp_path, copy_ids))
 
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            (lambda rec: "[1]", "expected a JSON object"),
+            (lambda rec: json.dumps({**rec, "identity_id": None}), "must be JSON integers"),
+            (lambda rec: json.dumps({**rec, "identity_id": 0.7}), "must be JSON integers"),
+            (lambda rec: json.dumps({**rec, "frame_id": True}), "must be JSON integers"),
+            (lambda rec: json.dumps({**rec, "codes": [[float("nan")] + row[1:] for row in rec["codes"]]}), "must be finite"),
+            (lambda rec: json.dumps({**rec, "labels": [float("inf")] + rec["labels"][1:]}), "must be finite"),
+        ],
+        ids=["list", "null_id", "fractional_id", "bool_id", "nan_code", "inf_label"],
+    )
+    def test_malformed_record_names_its_line(self, tmp_path, capsys, bad_line, message):
+        from flowplug.cli import dispatch
+
+        path = tmp_path / "ds.jsonl"
+        save_dataset(generate_dataset(SMALL, seed=12), path)
+        lines = path.read_text().splitlines()
+        lines[2] = bad_line(json.loads(lines[2]))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match=f"line 3: .*{message}"):
+            load_dataset(path)
+        assert dispatch(["train", "--dataset", str(path), "--out", str(tmp_path / "t")]) == 2
+        assert capsys.readouterr().err.startswith("error: bad dataset record on line 3")
+
     def test_truncated_file_rejected(self, tmp_path):
         ds = generate_dataset(SMALL, seed=12)
         path = tmp_path / "ds.jsonl"
