@@ -260,9 +260,10 @@ def edit_sweep(
     delta: float,
     max_steps: int,
     *,
-    latents: np.ndarray | None = None,
+    latents: np.ndarray,
 ) -> EditSweep:
-    """``latents``, when given, are ``batch_latents(model, stacks)``."""
+    """``latents`` are ``batch_latents(model, stacks)``, encoded once by the
+    caller for all its sweeps."""
     results = minimal_edit_batch(model, stacks, attr_index, direction, probe, tau, delta, max_steps, latents=latents)
     pre_codes = np.stack([st.codes for st in stacks])
     post_codes = np.stack([r.stack.codes for r in results])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from flowplug import evaluation
+from flowplug.editing import batch_latents
 from flowplug.errors import DatasetError, DimensionError, UndefinedResultError
 from flowplug.evaluation import (
     EvalConfig,
@@ -190,7 +191,12 @@ def all_sweeps(model, probe, stacks):
     """One edit_sweep per (binary attribute, direction), as run_evaluation
     builds them, at the default tau, delta and max_steps."""
     attrs = [a for a, kind in enumerate(probe.attr_kinds) if kind == "binary"]
-    return {(a, d): edit_sweep(model, probe, stacks, a, d, 0.8, 0.25, 40) for a in attrs for d in (1, -1)}
+    latents = batch_latents(model, stacks)
+    return {
+        (a, d): edit_sweep(model, probe, stacks, a, d, 0.8, 0.25, 40, latents=latents)
+        for a in attrs
+        for d in (1, -1)
+    }
 
 
 class TestProtocols:
