@@ -9,23 +9,35 @@ identity/nuisance drift measured through the synthetic backbone oracle.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import logging
 import math
+import multiprocessing
+import numbers
 import os
+import signal
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 
 import numpy as np
 
+from . import blas
 from .configio import dataclass_to_jsonable
 from .editing import EditResult, batch_latents, minimal_edit_batch
-from .errors import ConfigError, DatasetError, DimensionError, UndefinedResultError
+from .errors import ConfigError, DatasetError, DimensionError, FlowplugError, UndefinedResultError, WorkerError
 from .fileio import atomic_write
 from .flow import FlowModel, StyleStack
-from .numerics import AdamConfig, AdamOptimizer, Mlp, Tensor, backward, init_mlp
-from .numerics import autodiff as ad
+from .numerics import AdamConfig, AdamOptimizer, Mlp, Tensor, init_mlp, parameter
+from .numerics import backward  # noqa: F401 - unused; perfbench's tracer test reads evaluation.backward
 from .synthetic import MockBackbone, SyntheticConfig, SyntheticDataset, backbone_invert, split_factors
 
+log = logging.getLogger(__name__)
+
 REPORT_FORMAT = "flowplug-report-v1"
+# how long the caller waits for the sweep process to exit once its sweeps
+# have arrived, before killing it; it exits as soon as they are sent
+_EXIT_SECONDS = 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +132,34 @@ def _fit_logistic_1d(scores: np.ndarray, y01: np.ndarray, iters: int = 40) -> tu
     return float(w[0]), float(w[1])
 
 
-def _probe_loss(net: Mlp, x: np.ndarray, y: np.ndarray) -> Tensor:
-    """Row-mean squared error: one tape node over ``net.parameters()``."""
+def _probe_gradient(net: Mlp, x: np.ndarray, y: np.ndarray, out: list[np.ndarray]) -> None:
+    """The gradient of the row-mean squared error of ``net`` on ``(x, y)``,
+    written into ``out``, arrays shaped like ``net.parameters()``."""
     kept: list = []
     d = net.forward(x, kept) - y
-    loss = np.sum(d * d) * (1.0 / y.shape[0])
-    return ad.record(loss, tuple(net.parameters()), lambda g_out: net.backward(d * (2.0 / y.shape[0]) * g_out, kept))
+    net.backward(d * (2.0 / y.shape[0]), kept, out)
+
+
+def _flat_parameters(net: Mlp) -> tuple[Tensor, np.ndarray, list[np.ndarray]]:
+    """One parameter holding every entry of ``net``, whose arrays become
+    views of it in ``net.parameters()`` order, and a gradient vector of the
+    same layout with its views shaped like those arrays."""
+    params = net.parameters()
+    flat = parameter(np.concatenate([p.data.ravel() for p in params]))
+    grad = np.empty_like(flat.data)
+    views, start = [], 0
+    for p in params:
+        stop = start + p.data.size
+        p.data = flat.data[start:stop].reshape(p.data.shape)
+        views.append(grad[start:stop].reshape(p.data.shape))
+        start = stop
+    return flat, grad, views
 
 
 def train_probe(ds: SyntheticDataset, cfg: ProbeConfig) -> ProbeModel:
-    """Fit the probe on raw codes + labels; deterministic given cfg.seed."""
+    """Fit the probe on raw codes + labels; deterministic given cfg.seed.
+    Each batch writes its gradient into one flat vector, and one Adam step
+    updates one flat parameter that the net's arrays are views of."""
     kinds = ds.config.kinds
     codes = np.stack([st.codes for st in ds.stacks])
     labels = np.stack([st.labels for st in ds.stacks])
@@ -157,14 +187,16 @@ def train_probe(ds: SyntheticDataset, cfg: ProbeConfig) -> ProbeModel:
     y_train = (labels[train_idx] - label_mean) / label_std
 
     net = init_mlp([x_train.shape[1], *cfg.hidden, labels.shape[1]], rng)
-    opt = AdamOptimizer(net.parameters(), AdamConfig(lr=cfg.lr))
+    flat, grad, grad_views = _flat_parameters(net)
+    opt = AdamOptimizer([flat], AdamConfig(lr=cfg.lr))
     n_train = x_train.shape[0]
     for _ in range(cfg.epochs):
         perm = rng.permutation(n_train)
         for start in range(0, n_train, cfg.batch_size):
             sel = perm[start : start + cfg.batch_size]
             opt.zero_grad()
-            backward(_probe_loss(net, x_train[sel], y_train[sel]))
+            _probe_gradient(net, x_train[sel], y_train[sel], grad_views)
+            flat.grad = grad
             opt.step()
 
     probe = ProbeModel(
@@ -250,6 +282,22 @@ class EditSweep:
     post_decisions: np.ndarray
 
 
+def _scored_sweep(
+    probe: ProbeModel, stacks: list[StyleStack], attr_index: int, direction: int, results: list[EditResult]
+) -> EditSweep:
+    pre_scores = probe.raw_scores(np.stack([st.codes for st in stacks]))
+    post_scores = probe.raw_scores(np.stack([r.stack.codes for r in results]))
+    return EditSweep(
+        attr_index=attr_index,
+        direction=direction,
+        results=results,
+        pre_scores=pre_scores,
+        post_scores=post_scores,
+        pre_decisions=np.where(pre_scores > 0, 1.0, -1.0),
+        post_decisions=np.where(post_scores > 0, 1.0, -1.0),
+    )
+
+
 def edit_sweep(
     model: FlowModel,
     probe: ProbeModel,
@@ -265,19 +313,122 @@ def edit_sweep(
     """``latents`` are ``batch_latents(model, stacks)``, encoded once by the
     caller for all its sweeps."""
     results = minimal_edit_batch(model, stacks, attr_index, direction, probe, tau, delta, max_steps, latents=latents)
-    pre_codes = np.stack([st.codes for st in stacks])
-    post_codes = np.stack([r.stack.codes for r in results])
-    pre_scores = probe.raw_scores(pre_codes)
-    post_scores = probe.raw_scores(post_codes)
-    return EditSweep(
-        attr_index=attr_index,
-        direction=direction,
-        results=results,
-        pre_scores=pre_scores,
-        post_scores=post_scores,
-        pre_decisions=np.where(pre_scores > 0, 1.0, -1.0),
-        post_decisions=np.where(post_scores > 0, 1.0, -1.0),
+    return _scored_sweep(probe, stacks, attr_index, direction, results)
+
+
+def _send_sweeps(conn, model, probe, stacks, keys, cfg, latents) -> None:
+    """The sweep process: the ``keys`` sweeps' edited codes, steps and
+    convergence as arrays, or the error that stopped them, sent to the
+    caller in one message."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        reply = []
+        for a, direction in keys:
+            results = minimal_edit_batch(
+                model, stacks, a, direction, probe, cfg.tau, cfg.delta, cfg.max_steps, latents=latents
+            )
+            reply.append(
+                (
+                    np.stack([r.stack.codes for r in results]),
+                    np.array([r.steps_used for r in results]),
+                    np.array([r.converged for r in results]),
+                )
+            )
+    except FlowplugError as exc:
+        reply = exc
+    except Exception as exc:  # raised in the caller
+        reply = WorkerError(f"an edit sweep failed on the sweep process: {type(exc).__name__}: {exc}")
+    try:
+        conn.send(reply)
+    except OSError:  # the caller is gone
+        pass
+
+
+def _sweeps_on_two_processes(
+    model: FlowModel,
+    probe: ProbeModel,
+    stacks: list[StyleStack],
+    keys: list[tuple[int, int]],
+    cfg: "EvalConfig",
+    latents: np.ndarray,
+) -> dict[tuple[int, int], EditSweep]:
+    """The ``keys`` sweeps, about half on a forked process and the rest here
+    at the same time. Sweeps go to the side with fewer stacks to move so
+    far, the most first (a fixed rule, so each side's work repeats run to
+    run). The child sends arrays; its sweeps are rebuilt and scored here
+    as ``edit_sweep`` scores its own. It ignores SIGINT, is joined (or
+    killed) before this returns or raises, and raises its ``FlowplugError``
+    here; a child that dies raises ``WorkerError``."""
+    pre = probe.decisions(np.stack([st.codes for st in stacks]))
+    sides = blas.balanced_halves([int(np.sum(pre[:, a] != direction)) for a, direction in keys])
+    theirs = [key for key, side in zip(keys, sides) if side == 0]
+    ctx = multiprocessing.get_context("fork")
+    conn, child_conn = ctx.Pipe(duplex=False)
+    proc = ctx.Process(
+        target=_send_sweeps,
+        args=(child_conn, model, probe, stacks, theirs, cfg, latents),
+        name="flowplug-sweeps",
+        daemon=True,
     )
+    try:
+        proc.start()
+    except OSError as exc:  # fork failed, e.g. at a process limit
+        conn.close()
+        raise WorkerError(f"cannot start the sweep process: {exc}") from exc
+    finally:
+        child_conn.close()
+    reply = None
+    try:
+        sweeps = {
+            key: edit_sweep(model, probe, stacks, *key, cfg.tau, cfg.delta, cfg.max_steps, latents=latents)
+            for key, side in zip(keys, sides)
+            if side == 1
+        }
+        wait([conn, proc.sentinel])
+        with contextlib.suppress(EOFError, OSError):  # OSError: reset by a killed child
+            if conn.poll():
+                reply = conn.recv()
+        if isinstance(reply, list):  # scored while the child exits
+            for key, (codes, steps, converged) in zip(theirs, reply):
+                results = [
+                    EditResult(
+                        stack=StyleStack(codes=c, labels=st.labels.copy(), identity_id=st.identity_id, frame_id=st.frame_id),
+                        steps_used=int(s),
+                        converged=bool(v),
+                    )
+                    for st, c, s, v in zip(stacks, codes, steps, converged)
+                ]
+                sweeps[key] = _scored_sweep(probe, stacks, *key, results)
+    finally:
+        conn.close()
+        proc.join(_EXIT_SECONDS if reply is not None else 0)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+    if reply is None:
+        raise WorkerError(f"the sweep process exited (code {proc.exitcode}) before sending its sweeps")
+    if isinstance(reply, Exception):
+        raise reply
+    return sweeps
+
+
+def _all_sweeps(
+    model: FlowModel, probe: ProbeModel, stacks: list[StyleStack], cfg: "EvalConfig"
+) -> dict[tuple[int, int], EditSweep]:
+    """One sweep per (binary attribute, direction), from one encoding of the
+    stacks: on two processes where ``blas.two_processes`` allows it, else
+    in turn here. The sweeps are the same either way."""
+    keys = [(a, direction) for a in _binary_attrs(probe.attr_kinds) for direction in (1, -1)]
+    latents = batch_latents(model, stacks)
+    with blas.two_processes() as split:
+        if split and len(keys) > 1:
+            log.info("evaluating on two processes, each with BLAS on one thread")
+            return _sweeps_on_two_processes(model, probe, stacks, keys, cfg, latents)
+    log.info("evaluating on one process: the sweeps in turn")
+    return {
+        key: edit_sweep(model, probe, stacks, *key, cfg.tau, cfg.delta, cfg.max_steps, latents=latents)
+        for key in keys
+    }
 
 
 @dataclass
@@ -411,6 +562,10 @@ def rank_protocol(probe: ProbeModel, sweeps: dict[tuple[int, int], EditSweep]) -
 # full evaluation pipeline
 
 
+def _finite_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     num_eval: int = 200
@@ -421,8 +576,14 @@ class EvalConfig:
     probe: ProbeConfig = field(default_factory=ProbeConfig)
 
     def __post_init__(self):
-        if self.num_eval < 2:
-            raise ConfigError("num_eval must be at least 2")
+        for name, least in (("num_eval", 2), ("max_steps", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not (_finite_number(self.tau) and 0.0 < self.tau < 1.0):
+            raise ConfigError(f"tau must be a finite number in (0, 1), got {self.tau!r}")
+        if not (_finite_number(self.delta) and self.delta > 0.0):
+            raise ConfigError(f"delta must be a finite number > 0, got {self.delta!r}")
 
 
 @dataclass
@@ -448,15 +609,10 @@ def run_evaluation(
     dataset_seed: int = 0,
 ) -> EvalReport:
     """One sweep per (binary attribute, direction) feeds all three tables;
-    the stacks are encoded once for all of them."""
+    the stacks are encoded once for all of them, and the sweeps run on two
+    processes where a second one may share the work (``_all_sweeps``)."""
     attrs = _binary_attrs(probe.attr_kinds)
-    latents = batch_latents(model, eval_stacks)
-    sweeps: dict[tuple[int, int], EditSweep] = {}
-    for a in attrs:
-        for direction in (1, -1):
-            sweeps[(a, direction)] = edit_sweep(
-                model, probe, eval_stacks, a, direction, cfg.tau, cfg.delta, cfg.max_steps, latents=latents
-            )
+    sweeps = _all_sweeps(model, probe, eval_stacks, cfg)
     accuracy = accuracy_protocol(probe, eval_stacks, sweeps)
     ranks = rank_protocol(probe, sweeps)
 

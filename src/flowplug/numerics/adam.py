@@ -61,10 +61,16 @@ class AdamOptimizer:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
-        _check_finite(grads)
+        """Check that every gradient is finite, then ``update``."""
+        _check_finite([p.grad for p in self.params if p.grad is not None])
+        self.update()
+
+    def update(self) -> None:
+        """One Adam step with no finiteness check, for a caller that has
+        checked the gradients itself; a missing gradient counts as zero."""
         self.t += 1
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
             _update_in_place(p.data, g, m, v, self.cfg, self.t)
 
     def zero_grad(self) -> None:

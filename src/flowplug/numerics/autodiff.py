@@ -2,10 +2,10 @@
 
 A tiny tape: every ``Tensor`` produced by an operation keeps references to
 its parents and a closure that turns the output gradient into parent
-gradients. Each training objective (the flow loss, a probe step) is one
-hand-differentiated node made through ``record``. All data is float64
-numpy. Gradients are verified against central finite differences (see
-``finite_diff_gradient``), which is the binding contract.
+gradients. The flow loss is one hand-differentiated node made through
+``record``; the probe step writes its gradient without the tape. All data
+is float64 numpy. Gradients are verified against central finite
+differences (see ``finite_diff_gradient``), which is the binding contract.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def record(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
     """The tape node behind every operation: ``grad_fn(g)`` returns one
     gradient (or None) per parent. Records nothing under ``no_grad`` or when
     no parent requires a gradient. Hand-differentiated operations, such as
-    the flow loss and a probe step, call it directly."""
+    the flow loss, call it directly."""
     if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out = Tensor(data, requires_grad=True)
         out._parents = parents

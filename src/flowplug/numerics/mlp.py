@@ -61,16 +61,21 @@ class Mlp:
             h += b.data
         return h
 
-    def backward(self, g: np.ndarray, kept: list) -> list[np.ndarray]:
+    def backward(self, g: np.ndarray, kept: list, out: list[np.ndarray] | None = None) -> list[np.ndarray]:
         """Gradients of ``parameters()`` from the output gradient ``g`` and the
-        ``kept`` of the matching ``forward``."""
+        ``kept`` of the matching ``forward``; with ``out``, arrays shaped like
+        ``parameters()``, they are written into those arrays."""
         x, *hidden = kept
-        grads: list[np.ndarray] = []
-        for (pre, z), w in zip(reversed(hidden), reversed(self.weights[1:])):
-            grads[:0] = [z.T @ g, g.sum(axis=0)]
-            g = g @ w.data.T
+        grads: list = [None] * (2 * len(self.weights)) if out is None else out
+        for i in range(len(self.weights) - 1, 0, -1):
+            pre, z = hidden[i - 1]
+            grads[2 * i] = np.matmul(z.T, g, out=grads[2 * i])
+            grads[2 * i + 1] = np.sum(g, axis=0, out=grads[2 * i + 1])
+            g = g @ self.weights[i].data.T
             g *= ad.leaky_relu_derivative(pre, LEAKY_SLOPE)
-        return [x.T @ g, g.sum(axis=0), *grads]
+        grads[0] = np.matmul(x.T, g, out=grads[0])
+        grads[1] = np.sum(g, axis=0, out=grads[1])
+        return grads
 
 
 def init_mlp(dims: list[int], rng: np.random.Generator, zero_final: bool = False) -> Mlp:

@@ -316,6 +316,17 @@ def save_ground_truth(ds: SyntheticDataset, path) -> None:
             )
 
 
+# the header's integer config fields and the least value each may take
+_HEADER_COUNTS = (
+    ("num_identities", 1),
+    ("frames_per_identity", 1),
+    ("num_attrs", 1),
+    ("code_dim", 1),
+    ("num_codes", 1),
+    ("identity_dim", 0),
+)
+
+
 def load_dataset(path, ground_truth_path=None) -> SyntheticDataset:
     """Read a JSONL dataset; rebuilds the oracle backbone from the header.
 
@@ -338,6 +349,12 @@ def load_dataset(path, ground_truth_path=None) -> SyntheticDataset:
     if header.get("format_version") != DATASET_FORMAT:
         raise DatasetError(f"unrecognized dataset format {header.get('format_version')!r}")
     try:
+        # bool is a subclass of int, and a float count would pass the
+        # config's own checks and fail on a later line
+        fields = [(f"config.{key}", header["config"][key], least) for key, least in _HEADER_COUNTS]
+        for name, value, least in [*fields, ("seed", header["seed"], 0)]:
+            if type(value) is not int or value < least:
+                raise DatasetError(f"line 1: dataset header {name} must be a JSON integer >= {least}, got {value!r}")
         cfg = SyntheticConfig(
             num_identities=header["config"]["num_identities"],
             frames_per_identity=header["config"]["frames_per_identity"],
@@ -353,7 +370,7 @@ def load_dataset(path, ground_truth_path=None) -> SyntheticDataset:
             None if s is None else LabelStats(mean=s["mean"], std=s["std"]) for s in header["label_stats"]
         ]
     except (KeyError, TypeError, ConfigError) as exc:
-        raise DatasetError(f"dataset header is malformed: {exc}") from exc
+        raise DatasetError(f"line 1: dataset header is malformed: {exc}") from exc
 
     stacks = []
     seen: dict[tuple[int, int], int] = {}

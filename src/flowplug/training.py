@@ -7,10 +7,7 @@ import contextlib
 import json
 import logging
 import math
-import multiprocessing
 import numbers
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,43 +140,18 @@ def _first_non_finite_grad(model: FlowModel) -> str:
     return "no parameter gradient"
 
 
-def _balanced_split(params: list) -> tuple[list, list]:
-    """The parameters in two lists of about half of the entries each, in
-    model order: arrays largest first, each to the side holding fewer
-    entries so far."""
-    load, sides = [0, 0], [0] * len(params)
-    for i in sorted(range(len(params)), key=lambda i: -params[i].data.size):
-        sides[i] = side = int(load[1] < load[0])
-        load[side] += params[i].data.size
-    return [p for p, s in zip(params, sides) if s == 0], [p for p, s in zip(params, sides) if s == 1]
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _share_work(stack: contextlib.ExitStack, model: FlowModel, adam: AdamConfig) -> tuple[RowWorker | None, AdamOptimizer]:
-    """The row worker and this process's optimizer. The worker takes the
-    second row half of every batch and Adam over the other half of the
-    parameter entries, with BLAS on one thread in both processes while it
-    lives: two processes each driving a multithreaded BLAS on two CPUs ran
-    about four times slower than two single-threaded ones. Where fork is
-    missing or unsafe (other threads, a daemonic process) or the BLAS thread
-    count cannot be set, or only one CPU is usable, both halves run in turn
-    here and one optimizer updates every parameter."""
+    """The row worker and this process's optimizer. Where ``blas.two_processes``
+    allows a second process, the worker takes the second row half of every
+    batch and Adam over the other half of the parameter entries, with BLAS on
+    one thread in both processes while it lives. Otherwise both halves run
+    in turn here and one optimizer updates every parameter."""
     params = model.parameters()
-    can_fork = (
-        "fork" in multiprocessing.get_all_start_methods()
-        and threading.active_count() == 1  # fork copies only the calling thread
-        and not multiprocessing.current_process().daemon  # which may not have children
-        and _usable_cpus() > 1  # on one CPU the halves only take turns
-    )
-    if can_fork and stack.enter_context(blas.one_thread()):
-        mine, theirs = _balanced_split(params)
-        worker = stack.enter_context(RowWorker(model, AdamOptimizer(theirs, adam).step))
+    if stack.enter_context(blas.two_processes()):
+        sides = blas.balanced_halves([p.data.size for p in params])
+        mine = [p for p, s in zip(params, sides) if s == 0]
+        theirs = [p for p, s in zip(params, sides) if s == 1]
+        worker = stack.enter_context(RowWorker(model, AdamOptimizer(theirs, adam).update))
         log.info("training on two processes, each with BLAS on one thread")
         return worker, AdamOptimizer(mine, adam)
     log.info("training on one process: both row halves in turn")
@@ -219,10 +191,10 @@ def _fit(
                 if worker is None:
                     opt.step()
                 else:
-                    # checked here, so both processes update their share or neither does
+                    # checked once, here, so both processes update their share or neither does
                     _check_finite([p.grad for p in params])
                     worker.step()
-                    _alongside(opt.step, worker)
+                    _alongside(opt.update, worker)
             except NumericError as exc:
                 raise TrainingDivergedError(
                     f"non-finite gradient at epoch {epoch}, batch {bi}, first in {_first_non_finite_grad(model)}: {exc}"

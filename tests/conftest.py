@@ -1,6 +1,24 @@
 """Fixtures shared across test modules."""
 
+import faulthandler
+
 import pytest
+
+
+# how long a test that forks may run before the whole run ends with every
+# thread's traceback: a hung child or a wait that never returns then fails
+# within a minute instead of using up the time budget of the run
+HANG_SECONDS = 60
+
+
+@pytest.fixture
+def hang_watchdog():
+    """For tests that fork a worker process (training's row worker, the
+    evaluation's sweep process): ends the test process with a traceback if
+    the test runs HANG_SECONDS."""
+    faulthandler.dump_traceback_later(HANG_SECONDS, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

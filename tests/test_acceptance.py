@@ -205,6 +205,7 @@ def test_criterion_6_directional_contrastive_comparison(lambda_comparison):
     assert ok
 
 
+@pytest.mark.usefixtures("hang_watchdog")
 def test_criterion_7_pipeline_determinism(tmp_path):
     config = {
         "seed": 21,

@@ -5,11 +5,16 @@ import gc
 import json
 import logging
 import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import pytest
 
+import flowplug
 from flowplug.cli import dispatch, resolve_run_config
 from flowplug.errors import ConfigError
 
@@ -31,6 +36,9 @@ SMALL_CONFIG = {
     },
     "eval": {"num_eval": 12, "probe": {"epochs": 40}},
 }
+
+
+REPORT_FILES = ("report.json", "accuracy.csv", "spearman.csv", "identity_drift.csv")
 
 
 @pytest.fixture
@@ -70,6 +78,7 @@ class TestRunConfig:
         assert cfg.seed == 11
 
 
+@pytest.mark.usefixtures("hang_watchdog")  # train and evaluate fork a worker
 class TestDispatch:
     def test_unknown_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -251,6 +260,76 @@ class TestDispatch:
         argv = ["evaluate", "--config", str(bad), "--dataset", str(tmp_path / "ds.jsonl")]
         assert dispatch(argv + ["--checkpoint", str(tmp_path / "ckpt.json"), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: probe")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tau", float("nan")),
+            ("tau", 1.5),
+            ("tau", 0),
+            ("delta", float("inf")),
+            ("delta", 0),
+            ("max_steps", 2.5),
+            ("max_steps", -1),
+            ("num_eval", 1),
+            ("num_eval", True),
+            ("seed", -1),
+        ],
+    )
+    def test_invalid_eval_config_reports_error(self, tmp_path, field, value, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"eval": {field: value}}))
+        argv = ["evaluate", "--config", str(bad), "--dataset", str(tmp_path / "ds.jsonl")]
+        assert dispatch(argv + ["--checkpoint", str(tmp_path / "ckpt.json"), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+
+    @pytest.mark.parametrize(
+        "field, value, least",
+        [
+            ("seed", "x", 0),
+            ("seed", 1.5, 0),
+            ("seed", -1, 0),
+            ("config.num_codes", 2.5, 1),
+            ("config.num_identities", True, 1),
+        ],
+    )
+    def test_bad_dataset_header_field_names_line_1_and_the_field(self, tmp_path, config_file, capsys, field, value, least):
+        data = tmp_path / "data"
+        assert dispatch(["gen-data", "--config", config_file, "--out", str(data)]) == 0
+        path = data / "dataset.jsonl"
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        if field.startswith("config."):
+            header["config"][field.removeprefix("config.")] = value
+        else:
+            header[field] = value
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        capsys.readouterr()
+        argv = ["train", "--config", config_file, "--dataset", str(path), "--out", str(tmp_path / "t")]
+        assert dispatch(argv) == 2
+        want = f"error: line 1: dataset header {field} must be a JSON integer >= {least}, got {value!r}\n"
+        assert capsys.readouterr().err == want
+
+    def test_evaluate_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path, config_file):
+        """``flowplug evaluate`` in processes started with
+        OPENBLAS_NUM_THREADS=1 and =2, each running its sweeps on two
+        processes: the report files are the same bytes."""
+        data, trained = tmp_path / "data", tmp_path / "train"
+        assert dispatch(["gen-data", "--config", config_file, "--out", str(data)]) == 0
+        argv = ["train", "--config", config_file, "--dataset", str(data / "dataset.jsonl"), "--out", str(trained)]
+        assert dispatch(argv) == 0
+        src = str(Path(flowplug.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            argv = ["evaluate", "--config", config_file, "--dataset", str(data / "dataset.jsonl")]
+            argv += ["--checkpoint", str(trained / "checkpoint.json"), "--out", str(out)]
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-m", "flowplug.cli", *argv], env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            assert "evaluating on two processes, each with BLAS on one thread" in proc.stderr
+            outputs.append([(out / name).read_bytes() for name in REPORT_FILES])
+        assert outputs[0] == outputs[1]
 
     def test_missing_dataset_reports_error(self, tmp_path, config_file, capsys):
         code = dispatch(

@@ -1,15 +1,22 @@
 """Probe training, Spearman rank correlation, and the three edit
 protocols, checked against oracles and degenerate constructions."""
 
+import json
+import multiprocessing
+import os
+import signal
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from flowplug import evaluation
+from flowplug import blas, evaluation
 from flowplug.editing import batch_latents
-from flowplug.errors import DatasetError, DimensionError, UndefinedResultError
+from flowplug.errors import ConfigError, DatasetError, DimensionError, UndefinedResultError, WorkerError
 from flowplug.evaluation import (
     EvalConfig,
     ProbeConfig,
@@ -19,11 +26,12 @@ from flowplug.evaluation import (
     identity_drift,
     rank_protocol,
     run_evaluation,
+    save_report,
     spearman_rho,
     train_probe,
 )
 from flowplug.flow import FlowConfig, build_flow
-from flowplug.numerics import finite_diff_gradient, gradient, init_mlp
+from flowplug.numerics import finite_diff_gradient, init_mlp
 from flowplug.prior import PriorConfig
 from flowplug.synthetic import (
     MockBackbone,
@@ -50,6 +58,8 @@ def identity_dataset(cfg: SyntheticConfig, seed: int) -> SyntheticDataset:
     base.backbone = backbone
     return base
 
+
+DATA = Path(__file__).parent / "data"
 
 SMALL = SyntheticConfig(
     num_identities=40, frames_per_identity=10, num_attrs=3, code_dim=12, num_codes=2, identity_dim=5
@@ -150,20 +160,48 @@ class TestProbe:
         for wa, wb in zip(a.net.parameters(), b.net.parameters()):
             assert np.array_equal(wa.data, wb.data)
 
-    def test_each_probe_step_records_one_tape_node(self, monkeypatch):
-        real_backward = evaluation.backward
-        losses = []
+    def test_reproduces_the_probe_trained_by_v1_code(self):
+        """tests/data/probe_v1_small.json holds a probe trained by the
+        tape-built probe step (one ``_probe_loss`` node and one Adam state
+        per array); the flat step trains the same probe, bit for bit."""
+        ref = json.loads((DATA / "probe_v1_small.json").read_text())
+        ds_cfg = {**ref["dataset_config"], "attr_kinds": tuple(ref["dataset_config"]["attr_kinds"])}
+        ds = generate_dataset(SyntheticConfig(**ds_cfg), ref["dataset_seed"])
+        probe_cfg = {**ref["probe_config"], "hidden": tuple(ref["probe_config"]["hidden"])}
+        probe = train_probe(ds, ProbeConfig(**probe_cfg))
+        assert probe.attr_kinds == ("binary", "continuous", "binary")
+        for ours, want in zip(probe.net.weights + probe.net.biases, ref["weights"] + ref["biases"]):
+            assert np.array_equal(ours.data, np.array(want))
+        for name in ("input_mean", "input_std", "label_mean", "label_std", "holdout_accuracy"):
+            assert np.array_equal(getattr(probe, name), np.array(ref[name]))
+        calibration = np.array([[np.nan if v is None else v for v in row] for row in ref["calibration"]])
+        assert np.array_equal(probe.calibration, calibration, equal_nan=True)
 
-        def spy(loss):
-            losses.append(loss)
-            real_backward(loss)
+    def test_each_batch_is_one_adam_step_over_one_flat_parameter(self, monkeypatch):
+        """Every batch zeroes the gradient and takes one checked Adam step
+        over a single parameter; the net's weights and biases are views of
+        it, in ``parameters()`` order, so the step updates the net."""
+        from flowplug.numerics import adam
 
-        monkeypatch.setattr(evaluation, "backward", spy)
+        real_step, steps = adam.AdamOptimizer.step, []
+
+        def recording(opt):
+            steps.append((opt.params, [p.data.copy() for p in opt.params]))
+            real_step(opt)
+
+        monkeypatch.setattr(adam.AdamOptimizer, "step", recording)
         probe = train_probe(generate_dataset(SMALL, seed=5), ProbeConfig(epochs=2, batch_size=64, seed=0))
-        assert len(losses) == 2 * 5  # 320 training rows in batches of 64
-        params = tuple(probe.net.parameters())
-        for loss in losses:
-            assert loss._parents == params and all(not p._parents for p in params)
+        assert len(steps) == 2 * 5  # 320 training rows in batches of 64
+        flat = steps[0][0][0]
+        assert all(params == [flat] for params, _ in steps)
+        assert flat.data.size == sum(p.data.size for p in probe.net.parameters())
+        start = 0
+        for p in probe.net.parameters():
+            assert np.shares_memory(p.data, flat.data)
+            assert np.array_equal(p.data.ravel(), flat.data[start : start + p.data.size])
+            start += p.data.size
+        # the last step moved the net it returned
+        assert not np.array_equal(steps[-1][1][0], flat.data)
 
     @pytest.mark.parametrize("hidden", [(), (7,), (6, 5)], ids=["linear", "one_hidden", "two_hidden"])
     def test_probe_gradient_matches_finite_differences(self, hidden):
@@ -172,8 +210,15 @@ class TestProbe:
         for p in net.parameters():
             p.data = p.data + 0.3 * rng.normal(size=p.data.shape)
         x, y = rng.normal(size=(9, 5)), rng.normal(size=(9, 3))
-        g = gradient(lambda _: evaluation._probe_loss(net, x, y), net.parameters())
-        fd = finite_diff_gradient(lambda _: evaluation._probe_loss(net, x, y), net.parameters(), step=1e-5)
+        out = [np.full_like(p.data, np.nan) for p in net.parameters()]
+        evaluation._probe_gradient(net, x, y, out)
+        g = np.concatenate([a.ravel() for a in out])
+
+        def row_mean_squared_error(_):
+            d = net.forward(x) - y
+            return np.sum(d * d) * (1.0 / y.shape[0])
+
+        fd = finite_diff_gradient(row_mean_squared_error, net.parameters(), step=1e-5)
         assert (np.abs(g - fd) / np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-4)).max() <= 1e-4
 
     def test_confidence_monotone_in_score(self):
@@ -199,6 +244,7 @@ def all_sweeps(model, probe, stacks):
     }
 
 
+@pytest.mark.usefixtures("hang_watchdog")
 class TestProtocols:
     def make_trivial_setup(self):
         """Identity backbone + identity flow: fully disentangled by
@@ -322,6 +368,9 @@ class TestProtocols:
         assert np.all((finite_ret >= 0.0) & (finite_ret <= 100.0))
 
     def test_run_evaluation_encodes_once_and_decodes_only_steps(self, monkeypatch, flow_rows):
+        """Counted on the in-turn path: the row counters cannot see the
+        rows that a forked sweep process decodes."""
+        monkeypatch.setattr(blas, "may_fork", lambda: False)
         ds, model, probe = self.make_trivial_setup()
         stacks = ds.stacks[:30]
         encoded, decoded = flow_rows("codes_to_latents"), flow_rows("latents_to_codes")
@@ -344,6 +393,119 @@ class TestProtocols:
         assert stats.identity_mse == 0.0 and stats.nuisance_mse == 0.0
 
 
+@pytest.mark.usefixtures("hang_watchdog")
+class TestSweepProcess:
+    """``run_evaluation`` runs about half of its sweeps on a forked process."""
+
+    @staticmethod
+    def make_setup():
+        """A perturbed flow, so that edits decode through non-trivial
+        couplings and the stacks need different step counts."""
+        ds = identity_dataset(SMALL, seed=7)
+        prior = PriorConfig(num_attrs=SMALL.num_attrs, latent_dim=SMALL.code_dim, sigma=0.5)
+        model = build_flow(prior, SMALL.num_codes, FlowConfig(num_couplings=2, hidden_width=8), seed=0)
+        rng = np.random.default_rng(11)
+        for p in model.parameters():
+            p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
+        probe = train_probe(ds, ProbeConfig(hidden=(), epochs=400, seed=0))
+        return ds, model, probe, ds.stacks[:40], EvalConfig(num_eval=40)
+
+    def test_two_processes_and_in_turn_give_the_same_sweeps_and_report_bytes(self, monkeypatch, tmp_path, caplog):
+        ds, model, probe, stacks, cfg = self.make_setup()
+        runs = []
+        with caplog.at_level("INFO", logger="flowplug.evaluation"):
+            for _ in ("two processes", "in turn"):
+                sweeps = evaluation._all_sweeps(model, probe, stacks, cfg)
+                out = tmp_path / f"run{len(runs)}"
+                out.mkdir()
+                save_report(run_evaluation(model, probe, stacks, ds.backbone, ds.config, cfg), out)
+                runs.append((sweeps, {f.name: f.read_bytes() for f in out.iterdir()}))
+                assert multiprocessing.active_children() == []
+                monkeypatch.setattr(blas, "may_fork", lambda: False)
+        modes = [r.getMessage() for r in caplog.records if r.getMessage().startswith("evaluating on")]
+        assert modes == ["evaluating on two processes, each with BLAS on one thread"] * 2 + [
+            "evaluating on one process: the sweeps in turn"
+        ] * 2
+        (split, split_files), (in_turn, in_turn_files) = runs
+        assert len(split_files) == 4 and split_files == in_turn_files
+        assert sorted(split) == sorted(in_turn) and len(split) == 2 * SMALL.num_attrs
+        steps = set()
+        for key, ours in split.items():
+            want = in_turn[key]
+            assert [(r.steps_used, r.converged) for r in ours.results] == [(r.steps_used, r.converged) for r in want.results]
+            for a, b, st in zip(ours.results, want.results, stacks):
+                assert np.array_equal(a.stack.codes, b.stack.codes) and np.array_equal(a.stack.labels, st.labels)
+                assert (a.stack.identity_id, a.stack.frame_id) == (st.identity_id, st.frame_id)
+            for name in ("pre_scores", "post_scores", "pre_decisions", "post_decisions"):
+                assert np.array_equal(getattr(ours, name), getattr(want, name))
+            steps.update(r.steps_used for r in ours.results)
+        assert len(steps) > 2
+
+    @pytest.mark.parametrize(
+        "raised, expected, message",
+        [
+            (UndefinedResultError("injected in the sweep"), UndefinedResultError, "injected in the sweep"),
+            (ConfigError("injected in the sweep"), ConfigError, "injected in the sweep"),
+            (RuntimeError("injected in the sweep"), WorkerError, "RuntimeError: injected in the sweep"),
+        ],
+        ids=["undefined_result", "config", "not_a_flowplug_error"],
+    )
+    def test_an_error_in_the_sweep_process_raises_here(self, monkeypatch, raised, expected, message):
+        ds, model, probe, stacks, cfg = self.make_setup()
+        real, test_pid = evaluation.minimal_edit_batch, os.getpid()
+
+        def failing_in_the_child(*args, **kwargs):
+            if os.getpid() != test_pid:
+                raise raised
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "minimal_edit_batch", failing_in_the_child)
+        with pytest.raises(expected, match=message):
+            run_evaluation(model, probe, stacks, ds.backbone, ds.config, cfg)
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_here_ends_the_sweep_process(self, monkeypatch):
+        ds, model, probe, stacks, cfg = self.make_setup()
+        real, test_pid = evaluation.minimal_edit_batch, os.getpid()
+
+        def failing_here(*args, **kwargs):
+            if os.getpid() == test_pid:
+                raise UndefinedResultError("injected in the caller")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "minimal_edit_batch", failing_here)
+        with pytest.raises(UndefinedResultError, match="injected in the caller"):
+            run_evaluation(model, probe, stacks, ds.backbone, ds.config, cfg)
+        assert multiprocessing.active_children() == []
+
+    def test_a_killed_sweep_process_is_a_worker_error_within_seconds(self, monkeypatch):
+        ds, model, probe, stacks, cfg = self.make_setup()
+        real, test_pid = evaluation.minimal_edit_batch, os.getpid()
+
+        def killed_in_the_child(*args, **kwargs):
+            if os.getpid() != test_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "minimal_edit_batch", killed_in_the_child)
+        start = time.perf_counter()
+        with pytest.raises(WorkerError, match=r"the sweep process exited \(code -9\) before sending its sweeps"):
+            run_evaluation(model, probe, stacks, ds.backbone, ds.config, cfg)
+        assert time.perf_counter() - start < 10.0
+        assert multiprocessing.active_children() == []
+
+    def test_a_failed_fork_is_a_worker_error(self, monkeypatch):
+        ds, model, probe, stacks, cfg = self.make_setup()
+
+        def failing_fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        with pytest.raises(WorkerError, match="cannot start the sweep process"):
+            run_evaluation(model, probe, stacks, ds.backbone, ds.config, cfg)
+
+
+@pytest.mark.usefixtures("hang_watchdog")
 class TestReportSerialization:
     @staticmethod
     def make_report(seed=0):

@@ -124,6 +124,7 @@ class TestToLatent:
             assert sign == 1.0
             assert abs(logdet[0] - fd_logdet) <= 1e-4
 
+    @pytest.mark.usefixtures("hang_watchdog")
     def test_distinct_conditions_give_distinct_maps_after_training(self):
         from flowplug.losses import LossConfig
         from flowplug.synthetic import SyntheticConfig, generate_dataset

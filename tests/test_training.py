@@ -35,6 +35,9 @@ from flowplug.training import (
     train,
 )
 
+# ``train`` forks a row worker wherever a second process may share the work
+pytestmark = pytest.mark.usefixtures("hang_watchdog")
+
 SMALL_DS = SyntheticConfig(
     num_identities=10, frames_per_identity=6, num_attrs=2, code_dim=10, num_codes=2, identity_dim=4
 )
@@ -228,6 +231,36 @@ class TestTrain:
         with pytest.raises(ValueError, match="batching failed"):
             train(ds, small_train_config(epochs=1))
         assert multiprocessing.active_children() == []
+
+    def test_each_gradient_is_checked_once_per_step_on_two_processes(self, monkeypatch):
+        """``_fit`` checks every gradient, and then neither optimizer checks
+        its share again: this process's updates unchecked, and the worker
+        is given the unchecked update of its optimizer."""
+        import flowplug.training as training
+        from flowplug.losses import RowWorker
+        from flowplug.numerics import AdamOptimizer, adam
+
+        checks = {"fit": 0, "optimizer": 0}
+        step_fns = []
+
+        def counting(where, real):
+            def check(grads):
+                checks[where] += 1
+                real(grads)
+
+            return check
+
+        class Recording(RowWorker):
+            def __init__(self, model, step_fn):
+                step_fns.append(step_fn)
+                super().__init__(model, step_fn)
+
+        monkeypatch.setattr(training, "_check_finite", counting("fit", training._check_finite))
+        monkeypatch.setattr(adam, "_check_finite", counting("optimizer", adam._check_finite))
+        monkeypatch.setattr(training, "RowWorker", Recording)
+        train(generate_dataset(SMALL_DS, seed=6), small_train_config(epochs=2))
+        assert checks == {"fit": 2 * 4, "optimizer": 0}  # 10 groups in batches of 3
+        assert len(step_fns) == 1 and step_fns[0].__func__ is AdamOptimizer.update
 
     def test_a_failed_fork_is_a_worker_error(self, monkeypatch):
         from flowplug.errors import WorkerError
