@@ -1,11 +1,43 @@
-"""Dataclass <-> dict conversion with strict unknown-key rejection."""
+"""Dataclass <-> dict conversion with strict unknown-key rejection, and the
+number checks that configs and file loaders share."""
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 import typing
 
 from .errors import ConfigError
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool, such as JSON's ``true``, is not."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
+def is_finite(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, NaN or infinite."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def require_integers(cfg, **least: int | None) -> None:
+    """``ConfigError`` for the first named field of ``cfg`` that is not an
+    integer at least its bound (None: any integer)."""
+    for name, bound in least.items():
+        value = getattr(cfg, name)
+        if not is_integer(value) or (bound is not None and value < bound):
+            at_least = "" if bound is None else f" >= {bound}"
+            raise ConfigError(f"{name} must be an integer{at_least}, got {value!r}")
+
+
+def require_finite(cfg, *names: str) -> None:
+    """``ConfigError`` for the first named field of ``cfg`` that is not a
+    finite number."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not is_finite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 def dataclass_to_jsonable(obj):

@@ -31,7 +31,8 @@ class TrainingDivergedError(FlowplugError):
 
 
 class WorkerError(FlowplugError):
-    """The training worker process died, or failed outside the numerics."""
+    """A second process (``blas.SecondProcess``) could not start, died, or
+    failed outside the numerics."""
 
 
 class CheckpointError(FlowplugError):

@@ -9,23 +9,18 @@ identity/nuisance drift measured through the synthetic backbone oracle.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import logging
 import math
-import multiprocessing
-import numbers
 import os
-import signal
-from dataclasses import dataclass, field
-from multiprocessing.connection import wait
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import blas
-from .configio import dataclass_to_jsonable
+from .configio import dataclass_to_jsonable, require_finite, require_integers
 from .editing import EditResult, batch_latents, minimal_edit_batch
-from .errors import ConfigError, DatasetError, DimensionError, FlowplugError, UndefinedResultError, WorkerError
+from .errors import ConfigError, DatasetError, DimensionError, UndefinedResultError
 from .fileio import atomic_write
 from .flow import FlowModel, StyleStack
 from .numerics import AdamConfig, AdamOptimizer, Mlp, Tensor, init_mlp, parameter
@@ -35,9 +30,6 @@ from .synthetic import MockBackbone, SyntheticConfig, SyntheticDataset, backbone
 log = logging.getLogger(__name__)
 
 REPORT_FORMAT = "flowplug-report-v1"
-# how long the caller waits for the sweep process to exit once its sweeps
-# have arrived, before killing it; it exits as soon as they are sent
-_EXIT_SECONDS = 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +308,23 @@ def edit_sweep(
     return _scored_sweep(probe, stacks, attr_index, direction, results)
 
 
-def _send_sweeps(conn, model, probe, stacks, keys, cfg, latents) -> None:
-    """The sweep process: the ``keys`` sweeps' edited codes, steps and
-    convergence as arrays, or the error that stopped them, sent to the
-    caller in one message."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
+def _all_sweeps(
+    model: FlowModel, probe: ProbeModel, stacks: list[StyleStack], cfg: "EvalConfig"
+) -> dict[tuple[int, int], EditSweep]:
+    """One sweep per (binary attribute, direction), from one encoding of the
+    stacks, about half of them on a ``blas.SecondProcess``: forked where
+    ``blas.two_processes`` allows it, else in turn here after the rest.
+    Sweeps go to the side with fewer stacks to move so far, the most first
+    (a fixed rule, so each side's work repeats run to run). The second side
+    returns arrays, from which its sweeps are rebuilt and scored here as
+    ``edit_sweep`` scores its own, so the sweeps are the same either way."""
+    keys = [(a, direction) for a in _binary_attrs(probe.attr_kinds) for direction in (1, -1)]
+    latents = batch_latents(model, stacks)
+
+    def serve(op: str, theirs: list[tuple[int, int]]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per sweep, the ``(B, k, n)`` edited codes, steps used and convergence."""
         reply = []
-        for a, direction in keys:
+        for a, direction in theirs:
             results = minimal_edit_batch(
                 model, stacks, a, direction, probe, cfg.tau, cfg.delta, cfg.max_steps, latents=latents
             )
@@ -334,101 +335,31 @@ def _send_sweeps(conn, model, probe, stacks, keys, cfg, latents) -> None:
                     np.array([r.converged for r in results]),
                 )
             )
-    except FlowplugError as exc:
-        reply = exc
-    except Exception as exc:  # raised in the caller
-        reply = WorkerError(f"an edit sweep failed on the sweep process: {type(exc).__name__}: {exc}")
-    try:
-        conn.send(reply)
-    except OSError:  # the caller is gone
-        pass
+        return reply
 
-
-def _sweeps_on_two_processes(
-    model: FlowModel,
-    probe: ProbeModel,
-    stacks: list[StyleStack],
-    keys: list[tuple[int, int]],
-    cfg: "EvalConfig",
-    latents: np.ndarray,
-) -> dict[tuple[int, int], EditSweep]:
-    """The ``keys`` sweeps, about half on a forked process and the rest here
-    at the same time. Sweeps go to the side with fewer stacks to move so
-    far, the most first (a fixed rule, so each side's work repeats run to
-    run). The child sends arrays; its sweeps are rebuilt and scored here
-    as ``edit_sweep`` scores its own. It ignores SIGINT, is joined (or
-    killed) before this returns or raises, and raises its ``FlowplugError``
-    here; a child that dies raises ``WorkerError``."""
-    pre = probe.decisions(np.stack([st.codes for st in stacks]))
-    sides = blas.balanced_halves([int(np.sum(pre[:, a] != direction)) for a, direction in keys])
-    theirs = [key for key, side in zip(keys, sides) if side == 0]
-    ctx = multiprocessing.get_context("fork")
-    conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_send_sweeps,
-        args=(child_conn, model, probe, stacks, theirs, cfg, latents),
-        name="flowplug-sweeps",
-        daemon=True,
-    )
-    try:
-        proc.start()
-    except OSError as exc:  # fork failed, e.g. at a process limit
-        conn.close()
-        raise WorkerError(f"cannot start the sweep process: {exc}") from exc
-    finally:
-        child_conn.close()
-    reply = None
-    try:
-        sweeps = {
-            key: edit_sweep(model, probe, stacks, *key, cfg.tau, cfg.delta, cfg.max_steps, latents=latents)
-            for key, side in zip(keys, sides)
-            if side == 1
-        }
-        wait([conn, proc.sentinel])
-        with contextlib.suppress(EOFError, OSError):  # OSError: reset by a killed child
-            if conn.poll():
-                reply = conn.recv()
-        if isinstance(reply, list):  # scored while the child exits
-            for key, (codes, steps, converged) in zip(theirs, reply):
-                results = [
-                    EditResult(
-                        stack=StyleStack(codes=c, labels=st.labels.copy(), identity_id=st.identity_id, frame_id=st.frame_id),
-                        steps_used=int(s),
-                        converged=bool(v),
-                    )
-                    for st, c, s, v in zip(stacks, codes, steps, converged)
-                ]
-                sweeps[key] = _scored_sweep(probe, stacks, *key, results)
-    finally:
-        conn.close()
-        proc.join(_EXIT_SECONDS if reply is not None else 0)
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
-    if reply is None:
-        raise WorkerError(f"the sweep process exited (code {proc.exitcode}) before sending its sweeps")
-    if isinstance(reply, Exception):
-        raise reply
-    return sweeps
-
-
-def _all_sweeps(
-    model: FlowModel, probe: ProbeModel, stacks: list[StyleStack], cfg: "EvalConfig"
-) -> dict[tuple[int, int], EditSweep]:
-    """One sweep per (binary attribute, direction), from one encoding of the
-    stacks: on two processes where ``blas.two_processes`` allows it, else
-    in turn here. The sweeps are the same either way."""
-    keys = [(a, direction) for a in _binary_attrs(probe.attr_kinds) for direction in (1, -1)]
-    latents = batch_latents(model, stacks)
-    with blas.two_processes() as split:
-        if split and len(keys) > 1:
+    with blas.SecondProcess("the sweep process", serve) as second:
+        if second.forked:
             log.info("evaluating on two processes, each with BLAS on one thread")
-            return _sweeps_on_two_processes(model, probe, stacks, keys, cfg, latents)
-    log.info("evaluating on one process: the sweeps in turn")
-    return {
-        key: edit_sweep(model, probe, stacks, *key, cfg.tau, cfg.delta, cfg.max_steps, latents=latents)
-        for key in keys
-    }
+        else:
+            log.info("evaluating on one process: the sweeps in turn")
+        pre = probe.decisions(np.stack([st.codes for st in stacks]))
+        sides = blas.balanced_halves([int(np.sum(pre[:, a] != direction)) for a, direction in keys])
+        theirs = [key for key, side in zip(keys, sides) if side == 0]
+        second.call("sweeps", theirs)
+        sweeps, reply = second.alongside(
+            lambda: {
+                key: edit_sweep(model, probe, stacks, *key, cfg.tau, cfg.delta, cfg.max_steps, latents=latents)
+                for key, side in zip(keys, sides)
+                if side == 1
+            }
+        )
+        for key, (codes, steps, converged) in zip(theirs, reply):
+            results = [
+                EditResult(stack=replace(st, codes=c, labels=st.labels.copy()), steps_used=int(s), converged=bool(v))
+                for st, c, s, v in zip(stacks, codes, steps, converged)
+            ]
+            sweeps[key] = _scored_sweep(probe, stacks, *key, results)
+    return sweeps
 
 
 @dataclass
@@ -562,10 +493,6 @@ def rank_protocol(probe: ProbeModel, sweeps: dict[tuple[int, int], EditSweep]) -
 # full evaluation pipeline
 
 
-def _finite_number(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
-
-
 @dataclass(frozen=True)
 class EvalConfig:
     num_eval: int = 200
@@ -576,14 +503,12 @@ class EvalConfig:
     probe: ProbeConfig = field(default_factory=ProbeConfig)
 
     def __post_init__(self):
-        for name, least in (("num_eval", 2), ("max_steps", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not (_finite_number(self.tau) and 0.0 < self.tau < 1.0):
-            raise ConfigError(f"tau must be a finite number in (0, 1), got {self.tau!r}")
-        if not (_finite_number(self.delta) and self.delta > 0.0):
-            raise ConfigError(f"delta must be a finite number > 0, got {self.delta!r}")
+        require_integers(self, num_eval=2, max_steps=0, seed=0)
+        require_finite(self, "tau", "delta")
+        if not 0.0 < self.tau < 1.0:
+            raise ConfigError(f"tau must be in (0, 1), got {self.tau!r}")
+        if not self.delta > 0.0:
+            raise ConfigError(f"delta must be > 0, got {self.delta!r}")
 
 
 @dataclass

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .configio import require_finite, require_integers
 from .errors import ConfigError, DimensionError, NumericError
 from .numerics import LEAKY_SLOPE, Mlp, Tensor, init_mlp
 from .numerics.autodiff import leaky_relu_array, leaky_relu_derivative
@@ -28,10 +29,9 @@ class FlowConfig:
     scale_clamp: float = 2.0
 
     def __post_init__(self):
-        if self.num_couplings < 2:
-            raise ConfigError("need at least 2 coupling layers so every coordinate is transformed")
-        if self.hidden_width < 1 or self.hidden_layers < 1:
-            raise ConfigError("hidden_width and hidden_layers must be positive")
+        # at least 2 couplings, so that every coordinate is transformed
+        require_integers(self, num_couplings=2, hidden_width=1, hidden_layers=1)
+        require_finite(self, "scale_clamp")
         if self.scale_clamp <= 0:
             raise ConfigError("scale_clamp must be positive")
 

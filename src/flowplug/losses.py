@@ -6,41 +6,19 @@ from __future__ import annotations
 
 import math
 import mmap
-import multiprocessing
-import signal
-import time
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import fsum
-from multiprocessing.connection import wait
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FlowplugError, NumericError, WorkerError
+from .blas import SecondProcess
+from .configio import require_finite
+from .errors import ConfigError, DimensionError, NumericError
 from .flow import FlowModel, StyleStack, packed_backward, packed_forward
 from .numerics import Tensor
 from .numerics import autodiff as ad
 from .prior import LOG_2PI, PriorConfig
-
-# how long closing waits for the worker to exit before killing it; an idle
-# worker exits at once on pipe EOF, a busy one after its current half
-_EXIT_SECONDS = 5.0
-# how long each side polls for the other's message before it blocks: on a
-# virtual machine, waking a process whose CPU went idle cost 0.1-2 ms per
-# message, against gaps of about a millisecond between the halves' messages
-_SPIN_SECONDS = 0.005
-
-
-def _await(conn, *also) -> None:
-    """Return once ``conn`` has a message or EOF, or one of the ``also``
-    handles is ready: polling first, for up to ``_SPIN_SECONDS``, then
-    blocking."""
-    deadline = time.perf_counter() + _SPIN_SECONDS
-    while time.perf_counter() < deadline:
-        if conn.poll(0):
-            return
-    wait([conn, *also])
 
 
 @dataclass(frozen=True)
@@ -50,6 +28,7 @@ class LossConfig:
     normalize_groups: bool = True
 
     def __post_init__(self):
+        require_finite(self, "lambda_contrastive")
         if self.lambda_contrastive < 0:
             raise ConfigError(f"lambda_contrastive must be non-negative, got {self.lambda_contrastive}")
 
@@ -78,30 +57,6 @@ def contrastive_loss(s_vectors: np.ndarray, normalize: bool = False) -> float:
     return value
 
 
-class _InTurn:
-    """The second row half of a split batch, on the calling thread: each
-    call runs when its result is read, after the first half."""
-
-    def __init__(self, model: FlowModel):
-        self._model = model
-        self._call: Callable | None = None
-        self._cond = self._kept = None
-
-    def forward(self, rows: np.ndarray, cond: np.ndarray, keep: bool) -> None:
-        self._cond, self._kept = cond, [] if keep else None
-        self._call = lambda: packed_forward(self._model, rows, self._cond, self._kept)
-
-    def backward(self, g_rows: np.ndarray) -> None:
-        self._call = lambda: packed_backward(self._model, g_rows, self._cond, self._kept)
-
-    def result(self):
-        call, self._call = self._call, None
-        return call()
-
-    def discard(self) -> None:
-        self._call = None
-
-
 def _shared_zeros(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     """Zeroed float64 arrays in one anonymous shared mapping, which a forked
     child shares with its parent; each starts on a 64-byte boundary."""
@@ -113,154 +68,56 @@ def _shared_zeros(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     return [np.frombuffer(buf, np.float64, math.prod(shape), off).reshape(shape) for shape, off in zip(shapes, offsets)]
 
 
-class RowWorker:
-    """A forked process that, for one training run, runs the second row half
-    of every split batch and, on ``step``, ``step_fn`` (the optimizer over
-    its share of the parameters). ``forward``, ``backward`` and ``step`` send
-    one call; ``result`` waits for it and re-raises its error here.
+class RowWorker(SecondProcess):
+    """The second row half of every split batch of one model, and
+    ``step_fn`` (the optimizer over its share of the parameters), as the ops
+    of a ``blas.SecondProcess``: ``"forward"`` returns the half's state rows,
+    ``"backward"`` leaves its gradients in ``grads`` and ``"step"`` runs
+    ``step_fn`` on them. Only the intermediates of the latest forward are
+    kept, so a loss's backward comes before the next loss. Entering moves
+    the parameters and ``grads`` into one shared mapping before the fork, so
+    only rows cross the pipe; closing gives them private arrays again."""
 
-    The model's parameters move into a shared mapping before the fork, next
-    to one gradient array per parameter, so both processes read and update
-    the same arrays and only rows cross the pipe. The worker keeps the
-    intermediates of its latest forward only, so a loss's backward comes
-    before the next loss, as in a training step. It ignores SIGINT and
-    exits on pipe EOF. A worker that dies raises ``WorkerError`` here, never
-    a wait. ``close`` joins it and gives the parameters private arrays
-    again."""
+    def __init__(self, model: FlowModel, step_fn: Callable[[], None] | None = None):
+        super().__init__("the training worker process")
+        self.model, self._step_fn = model, step_fn
+        self.grads = [np.empty_like(p.data) for p in model.parameters()]
+        self._cond = self._kept = None
 
-    def __init__(self, model: FlowModel, step_fn: Callable[[], None]):
-        self.model = model
-        params = model.parameters()
+    def serve(self, op: str, *args):
+        if op == "forward":
+            rows, self._cond, keep = args
+            self._kept = [] if keep else None
+            return packed_forward(self.model, rows, self._cond, self._kept)
+        if op == "backward":
+            for out, g in zip(self.grads, packed_backward(self.model, args[0], self._cond, self._kept)):
+                out[...] = g
+        else:
+            # the optimizer reads the gradients that the loss left in ``grads``
+            for p, g in zip(self.model.parameters(), self.grads):
+                p.grad = g
+            self._step_fn()
+
+    def __enter__(self) -> "RowWorker":
+        params = self.model.parameters()
         shared = _shared_zeros([p.data.shape for p in params] * 2)
         for p, data in zip(params, shared):
             data[...] = p.data
             p.data = data
         self.grads = shared[len(params):]
-        ctx = multiprocessing.get_context("fork")
-        self._conn, child_conn = ctx.Pipe()
-        self._pending = None
-        self._warned: dict = {}
-        self._proc = ctx.Process(
-            target=self._serve, args=(child_conn, step_fn), name="flowplug-rows", daemon=True
-        )
-        try:
-            self._proc.start()
-        except OSError as exc:  # fork failed, e.g. at a process limit
-            self._conn.close()
-            raise WorkerError(f"cannot start the training worker process: {exc}") from exc
-        finally:
-            child_conn.close()
-
-    def _serve(self, conn, step_fn: Callable[[], None]) -> None:
-        """The worker's loop, in the child: one reply per call, until EOF."""
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        self._conn.close()
-        for p, g in zip(self.model.parameters(), self.grads):
-            p.grad = g
-        cond = kept = None
-        while True:
-            _await(conn)
-            try:
-                op, *args = conn.recv()
-            except (EOFError, OSError):  # the parent closed its end, or died
-                return
-            outcome = None
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    if op == "forward":
-                        rows, cond, keep = args
-                        kept = [] if keep else None
-                        outcome = packed_forward(self.model, rows, cond, kept)
-                    elif op == "backward":
-                        for out, g in zip(self.grads, packed_backward(self.model, args[0], cond, kept)):
-                            out[...] = g
-                    else:
-                        step_fn()
-                except FlowplugError as exc:
-                    outcome = exc
-                except Exception as exc:  # reported to the parent, which raises it
-                    outcome = WorkerError(f"{op} failed on the worker: {type(exc).__name__}: {exc}")
-            try:
-                conn.send((outcome, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]))
-            except OSError:  # the parent died
-                return
-
-    def _send(self, *call) -> None:
-        try:
-            self._conn.send(call)
-        except OSError as exc:
-            raise WorkerError(f"the training worker process is gone ({exc})") from exc
-        self._pending = call[0]
-
-    def forward(self, rows: np.ndarray, cond: np.ndarray, keep: bool) -> None:
-        self._send("forward", rows, cond, keep)
-
-    def backward(self, g_rows: np.ndarray) -> None:
-        self._send("backward", g_rows)
-
-    def step(self) -> None:
-        self._send("step")
-
-    def result(self):
-        """The pending call's outcome: the forward's rows, the backward's
-        gradients (the shared ``grads``), or None for ``step``."""
-        op, self._pending = self._pending, None
-        if op is None:
-            raise WorkerError("no call is pending on the training worker")
-        _await(self._conn, self._proc.sentinel)
-        try:
-            if not self._conn.poll():
-                raise EOFError
-            reply = self._conn.recv()
-        except (EOFError, OSError):  # OSError: reset by a killed peer
-            self._proc.join(_EXIT_SECONDS)
-            raise WorkerError(
-                f"the training worker process exited (code {self._proc.exitcode}) during {op}"
-            ) from None
-        outcome, caught = reply
-        # the worker's warnings, such as numpy's overflow, surface here
-        for message, category, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno, registry=self._warned)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return self.grads if op == "backward" else outcome
-
-    def discard(self) -> None:
-        """Wait for the pending call and drop its outcome."""
-        try:
-            self.result()
-        except FlowplugError:
-            pass
-
-    def close(self) -> None:
-        self._conn.close()
-        self._proc.join(_EXIT_SECONDS)
-        if self._proc.is_alive():
-            self._proc.kill()
-            self._proc.join()
-        for p in self.model.parameters():
-            p.data = p.data.copy()
-            p.grad = None
-        self.grads = []
-
-    def __enter__(self) -> "RowWorker":
+        super().__enter__()
+        if self.forked:  # the optimizer and its moments live on in the child alone
+            self._step_fn = None
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _alongside(run_first: Callable, second):
-    """``run_first()`` on this thread while ``second`` runs the other half:
-    both results, once both halves have finished. If the first half raises,
-    the second's outcome is dropped and the first's error re-raises."""
-    try:
-        first = run_first()
-    except BaseException:
-        second.discard()
-        raise
-    return first, second.result()
+        try:
+            super().__exit__(*exc)
+        finally:
+            for p in self.model.parameters():
+                p.data = p.data.copy()
+                p.grad = None
+            self.grads = [np.empty_like(g) for g in self.grads]  # and the mapping goes
 
 
 def batch_loss_graph(
@@ -274,15 +131,18 @@ def batch_loss_graph(
 
     Rows pass the flow independently, so a batch of more than one stack runs
     as two fixed row halves: the first ceil(N/2) stacks on this thread and
-    the rest on ``worker``, a ``RowWorker`` of this model, or else after the
-    first half on this thread, for the forward and again for the backward.
-    The state is the halves concatenated, and each gradient is first half +
-    second half, so results do not depend on where the halves run. With
-    ``worker``, the gradients are always its shared ``grads``, which the
-    worker's optimizer reads, also for a one-stack batch."""
+    the rest on ``worker``, a ``RowWorker`` of this model (by default one
+    that is not entered, so after the first half on this thread), for the
+    forward and again for the backward. The state is the halves
+    concatenated, and each gradient is first half + second half, so results
+    do not depend on where the halves run. The gradients are always the
+    worker's ``grads``, which its optimizer reads, also for a one-stack
+    batch."""
     if cfg.prior != model.prior:
         raise ConfigError("loss prior differs from the model's prior snapshot")
-    if worker is not None and worker.model is not model:
+    if worker is None:
+        worker = RowWorker(model)
+    elif worker.model is not model:
         raise ConfigError("the row worker serves another model")
     if not groups or any(not g for g in groups):
         raise DimensionError("batch must be a non-empty list of non-empty identity groups")
@@ -310,9 +170,8 @@ def batch_loss_graph(
     kept = [] if keep else None
     if num_stacks > 1:
         cut = (num_stacks + 1) // 2 * k  # the rows of the first ceil(N/2) stacks
-        second = worker if worker is not None else _InTurn(model)
-        second.forward(codes[cut:], cond[cut:], keep)
-        state = np.concatenate(_alongside(lambda: packed_forward(model, codes[:cut], cond[:cut], kept), second))
+        worker.call("forward", codes[cut:], cond[cut:], keep)
+        state = np.concatenate(worker.alongside(lambda: packed_forward(model, codes[:cut], cond[:cut], kept)))
     else:
         state = packed_forward(model, codes, cond, kept)
     c, s, logdet = state[:, :m], state[:, m:n], state[:, n]
@@ -354,15 +213,11 @@ def batch_loss_graph(
         g_state[:, n] = -1.0 / num_stacks
         g_state *= g_out
         if num_stacks == 1:
-            grads = packed_backward(model, g_state, cond, kept)
-            if worker is None:
-                return grads
-            # the worker's optimizer reads its gradients from the shared arrays
-            for out, g in zip(worker.grads, grads):
+            for out, g in zip(worker.grads, packed_backward(model, g_state, cond, kept)):
                 out[...] = g
             return worker.grads
-        second.backward(g_state[cut:])
-        first, rest = _alongside(lambda: packed_backward(model, g_state[:cut], cond[:cut], kept), second)
-        return [np.add(a, b, out=b) for a, b in zip(first, rest)]
+        worker.call("backward", g_state[cut:])
+        first, _ = worker.alongside(lambda: packed_backward(model, g_state[:cut], cond[:cut], kept))
+        return [np.add(a, b, out=b) for a, b in zip(first, worker.grads)]
 
     return ad.record(np.array(total), tuple(model.parameters()), grad_fn), Tensor(nll_mean), Tensor(contrast_mean)

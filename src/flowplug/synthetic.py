@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .configio import is_integer, require_finite, require_integers
 from .errors import ConfigError, DatasetError, DimensionError
 from .fileio import atomic_write
 from .flow import StyleStack
@@ -39,8 +40,10 @@ class SyntheticConfig:
     attr_kinds: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if min(self.num_identities, self.frames_per_identity, self.num_attrs, self.code_dim, self.num_codes) < 1:
-            raise ConfigError("all synthetic dataset counts must be positive")
+        require_integers(
+            self, num_identities=1, frames_per_identity=1, num_attrs=1, code_dim=1, num_codes=1, identity_dim=0
+        )
+        require_finite(self, "label_noise")
         if self.num_attrs + self.identity_dim >= self.code_dim:
             raise ConfigError("code_dim must exceed num_attrs + identity_dim (nuisance needs >= 1 dim)")
         if not self.attr_kinds:
@@ -349,11 +352,10 @@ def load_dataset(path, ground_truth_path=None) -> SyntheticDataset:
     if header.get("format_version") != DATASET_FORMAT:
         raise DatasetError(f"unrecognized dataset format {header.get('format_version')!r}")
     try:
-        # bool is a subclass of int, and a float count would pass the
-        # config's own checks and fail on a later line
+        # checked here, and not only by the config, so the error names line 1
         fields = [(f"config.{key}", header["config"][key], least) for key, least in _HEADER_COUNTS]
         for name, value, least in [*fields, ("seed", header["seed"], 0)]:
-            if type(value) is not int or value < least:
+            if not is_integer(value) or value < least:
                 raise DatasetError(f"line 1: dataset header {name} must be a JSON integer >= {least}, got {value!r}")
         cfg = SyntheticConfig(
             num_identities=header["config"]["num_identities"],
@@ -380,8 +382,8 @@ def load_dataset(path, ground_truth_path=None) -> SyntheticDataset:
             if not isinstance(rec, dict):
                 raise ValueError(f"expected a JSON object, got {line[:40]!r}")
             ids = (rec["identity_id"], rec["frame_id"])
-            # bool is a subclass of int; a float id would truncate silently
-            if any(type(i) is not int for i in ids):
+            # a float id would truncate silently
+            if not all(is_integer(i) for i in ids):
                 raise ValueError(f"identity_id and frame_id must be JSON integers, got {list(ids)}")
             st = StyleStack(
                 codes=np.array(rec["codes"], dtype=np.float64),

@@ -3,17 +3,14 @@ JSON checkpoints and a CSV loss trace."""
 
 from __future__ import annotations
 
-import contextlib
 import json
 import logging
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import blas
-from .configio import dataclass_from_dict, dataclass_to_jsonable
+from .configio import dataclass_from_dict, dataclass_to_jsonable, is_finite, require_finite, require_integers
 from .errors import (
     CheckpointShapeError,
     CheckpointVersionError,
@@ -25,7 +22,7 @@ from .errors import (
 )
 from .fileio import atomic_write
 from .flow import CouplingLayer, FlowConfig, FlowModel, StyleStack, build_flow
-from .losses import LossConfig, RowWorker, _alongside, batch_loss_graph
+from .losses import LossConfig, RowWorker, batch_loss_graph
 from .numerics import AdamConfig, AdamOptimizer, Mlp, backward, no_grad, parameter, zero_grads
 from .numerics.adam import _check_finite
 from .prior import PriorConfig
@@ -52,16 +49,8 @@ class TrainConfig:
     eval_every: int = 10
 
     def __post_init__(self):
-        for name in ("epochs", "batch_groups", "frames_per_group", "seed", "eval_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("lr", "beta1", "beta2", "eps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if min(self.epochs, self.batch_groups, self.frames_per_group) < 1:
-            raise ConfigError("epochs, batch_groups, and frames_per_group must be positive")
+        require_integers(self, epochs=1, batch_groups=1, frames_per_group=1, seed=None, eval_every=None)
+        require_finite(self, "lr", "beta1", "beta2", "eps")
         if self.lr < 0:
             raise ConfigError("lr must be non-negative")
 
@@ -81,6 +70,10 @@ class Checkpoint:
     epoch: int
     final_loss: float
     dataset_fingerprint: str
+
+    def __post_init__(self):
+        require_integers(self, epoch=0)
+        require_finite(self, "final_loss")
 
 
 def _identity_batches(
@@ -140,33 +133,17 @@ def _first_non_finite_grad(model: FlowModel) -> str:
     return "no parameter gradient"
 
 
-def _share_work(stack: contextlib.ExitStack, model: FlowModel, adam: AdamConfig) -> tuple[RowWorker | None, AdamOptimizer]:
-    """The row worker and this process's optimizer. Where ``blas.two_processes``
-    allows a second process, the worker takes the second row half of every
-    batch and Adam over the other half of the parameter entries, with BLAS on
-    one thread in both processes while it lives. Otherwise both halves run
-    in turn here and one optimizer updates every parameter."""
-    params = model.parameters()
-    if stack.enter_context(blas.two_processes()):
-        sides = blas.balanced_halves([p.data.size for p in params])
-        mine = [p for p, s in zip(params, sides) if s == 0]
-        theirs = [p for p, s in zip(params, sides) if s == 1]
-        worker = stack.enter_context(RowWorker(model, AdamOptimizer(theirs, adam).update))
-        log.info("training on two processes, each with BLAS on one thread")
-        return worker, AdamOptimizer(mine, adam)
-    log.info("training on one process: both row halves in turn")
-    return None, AdamOptimizer(params, adam)
-
-
 def _fit(
     model: FlowModel,
     ds: SyntheticDataset,
     cfg: TrainConfig,
     rng: np.random.Generator,
     opt: AdamOptimizer,
-    worker: RowWorker | None,
+    worker: RowWorker,
 ) -> list[TraceRow]:
-    """The loss trace: the baseline row, then one row per training epoch."""
+    """The loss trace: the baseline row, then one row per training epoch.
+    Each step's gradients are checked once, here, and then ``opt`` and the
+    worker's optimizer update their shares, so both update or neither does."""
     # row -1: the identity-initialized model's dataset mean, the baseline
     # every later epoch is compared against
     trace: list[TraceRow] = [dataset_mean_loss(model, ds, cfg, worker)]
@@ -176,9 +153,7 @@ def _fit(
         sums = np.zeros(3)
         count = 0
         for bi, batch in enumerate(batches):
-            opt.zero_grad()
-            if worker is not None:
-                zero_grads(params)  # the worker's share of the gradients too
+            zero_grads(params)
             try:
                 total, nll, contrast = batch_loss_graph(model, batch, cfg.loss, worker)
             except NumericError as exc:
@@ -188,13 +163,9 @@ def _fit(
             count += num_stacks
             try:
                 backward(total)
-                if worker is None:
-                    opt.step()
-                else:
-                    # checked once, here, so both processes update their share or neither does
-                    _check_finite([p.grad for p in params])
-                    worker.step()
-                    _alongside(opt.update, worker)
+                _check_finite([p.grad for p in params])
+                worker.call("step")
+                worker.alongside(opt.update)
             except NumericError as exc:
                 raise TrainingDivergedError(
                     f"non-finite gradient at epoch {epoch}, batch {bi}, first in {_first_non_finite_grad(model)}: {exc}"
@@ -214,7 +185,9 @@ def _fit(
 
 def train(ds: SyntheticDataset, cfg: TrainConfig) -> tuple[Checkpoint, list[TraceRow]]:
     """Run Adam on the combined loss; deterministic given dataset + config,
-    and the same whether or not a row worker process takes half the work."""
+    and the same whether or not the row worker, which takes the second row
+    half of every split batch and Adam over a size-balanced half of the
+    parameters, runs on a second process."""
     if cfg.loss.prior.latent_dim != ds.config.code_dim:
         raise ConfigError(
             f"prior latent_dim {cfg.loss.prior.latent_dim} != dataset code_dim {ds.config.code_dim}"
@@ -227,10 +200,17 @@ def train(ds: SyntheticDataset, cfg: TrainConfig) -> tuple[Checkpoint, list[Trac
     model = build_flow(cfg.loss.prior, ds.config.num_codes, cfg.flow, model_seed)
     adam = AdamConfig(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     rng = np.random.default_rng(batch_seed)
+    params = model.parameters()
+    sides = blas.balanced_halves([p.data.size for p in params])
+    mine = [p for p, s in zip(params, sides) if s == 0]
+    theirs = [p for p, s in zip(params, sides) if s == 1]
 
-    with contextlib.ExitStack() as stack:
-        worker, opt = _share_work(stack, model, adam)
-        trace = _fit(model, ds, cfg, rng, opt, worker)
+    with RowWorker(model, AdamOptimizer(theirs, adam).update) as worker:
+        if worker.forked:
+            log.info("training on two processes, each with BLAS on one thread")
+        else:
+            log.info("training on one process: both row halves in turn")
+        trace = _fit(model, ds, cfg, rng, AdamOptimizer(mine, adam), worker)
     ckpt = Checkpoint(
         model=model,
         train_config=cfg,
@@ -357,7 +337,7 @@ def load_checkpoint(path) -> Checkpoint:
             scale_net = _mlp_from_dict(entry["scale_net"], f"coupling {i} scale net")
             shift_net = _mlp_from_dict(entry["shift_net"], f"coupling {i} shift net")
             clamp = entry["scale_clamp"]
-            if isinstance(clamp, bool) or not isinstance(clamp, numbers.Real) or not 0 < clamp < math.inf:
+            if not (is_finite(clamp) and clamp > 0):
                 raise CorruptCheckpointError(f"coupling {i}: scale_clamp must be a finite positive number, got {clamp!r}")
             # the coupling runs both nets side by side, layer for layer
             scale_shapes = [w.data.shape for w in scale_net.weights]

@@ -13,9 +13,9 @@ HANG_SECONDS = 60
 
 @pytest.fixture
 def hang_watchdog():
-    """For tests that fork a worker process (training's row worker, the
-    evaluation's sweep process): ends the test process with a traceback if
-    the test runs HANG_SECONDS."""
+    """For tests that fork a second process through ``blas.SecondProcess``
+    (training's row worker, evaluation's sweeps): ends the test process
+    with a traceback if the test runs HANG_SECONDS."""
     faulthandler.dump_traceback_later(HANG_SECONDS, exit=True)
     yield
     faulthandler.cancel_dump_traceback_later()

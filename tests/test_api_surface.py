@@ -112,3 +112,26 @@ def test_no_definition_is_used_only_by_selftest():
                 changed = True
     flagged = sorted(f"{rel}:{name}" for rel, name in only_selftest if not name.startswith("_"))
     assert not flagged, f"definitions that only selftest uses: {flagged}"
+
+
+# the one second-process lifecycle (fork, pipe, SIGINT, join or kill) is
+# ``blas.SecondProcess``; the row worker's shared arrays may stay in losses.py
+PROCESS_IMPORTS = {"multiprocessing": {"blas.py"}, "signal": {"blas.py"}, "mmap": {"blas.py", "losses.py"}}
+
+
+def test_only_blas_runs_a_second_process():
+    found = []
+    for path in MODULES:
+        rel = str(path.relative_to(PACKAGE))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                root = name.split(".")[0]
+                if root in PROCESS_IMPORTS and rel not in PROCESS_IMPORTS[root]:
+                    found.append(f"{rel} imports {name}")
+    assert not found, found

@@ -41,6 +41,12 @@ SMALL_CONFIG = {
 REPORT_FILES = ("report.json", "accuracy.csv", "spearman.csv", "identity_drift.csv")
 
 
+def _leaf(mapping: dict) -> list:
+    """The keys down to the one value of a one-entry nested mapping, then the value."""
+    key, value = next(iter(mapping.items()))
+    return [key, *_leaf(value)] if isinstance(value, dict) else [key, value]
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "config.json"
@@ -348,9 +354,10 @@ class TestDispatch:
         procs = []
 
         class Recording(losses.RowWorker):
-            def __init__(self, *args):
-                super().__init__(*args)
+            def __enter__(self):
+                worker = super().__enter__()
                 procs.append(self._proc)
+                return worker
 
         monkeypatch.setattr(training, "RowWorker", Recording)
         before = threading.active_count()
@@ -363,13 +370,31 @@ class TestDispatch:
 
     @pytest.mark.parametrize(
         "train",
-        [{"lr": float("nan")}, {"beta1": float("inf")}, {"eps": float("nan")}, {"epochs": 2.5}, {"batch_groups": True}, {"seed": 1.0}],
-        ids=lambda t: next(iter(t)),
+        [
+            {"lr": float("nan")},
+            {"beta1": float("inf")},
+            {"eps": float("nan")},
+            {"epochs": 2.5},
+            {"batch_groups": True},
+            {"seed": 1.0},
+            {"flow": {"num_couplings": 2.5}},
+            {"flow": {"hidden_width": True}},
+            {"flow": {"scale_clamp": float("nan")}},
+            {"loss": {"lambda_contrastive": float("nan")}},
+        ],
+        ids=lambda t: "-".join(_leaf(t)[:-1]),
     )
     def test_invalid_train_config_reports_error(self, tmp_path, train, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"train": train}))
         argv = ["train", "--config", str(bad), "--dataset", str(tmp_path / "ds.jsonl"), "--out", str(tmp_path / "t")]
         assert dispatch(argv) == 2
-        assert capsys.readouterr().err.startswith(f"error: {next(iter(train))} must be")
+        assert capsys.readouterr().err.startswith(f"error: {_leaf(train)[-2]} must be")
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_invalid_synthetic_count_reports_error(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"synthetic": {"num_identities": value}}))
+        assert dispatch(["gen-data", "--config", str(bad), "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: num_identities must be an integer >= 1, got {value!r}")

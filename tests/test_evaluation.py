@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import signal
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -369,25 +370,26 @@ class TestProtocols:
 
     def test_run_evaluation_encodes_once_and_decodes_only_steps(self, monkeypatch, flow_rows):
         """Counted on the in-turn path: the row counters cannot see the
-        rows that a forked sweep process decodes."""
+        rows that a forked sweep process decodes. Each sweep, on either
+        side, is one ``minimal_edit_batch`` call."""
         monkeypatch.setattr(blas, "may_fork", lambda: False)
         ds, model, probe = self.make_trivial_setup()
         stacks = ds.stacks[:30]
         encoded, decoded = flow_rows("codes_to_latents"), flow_rows("latents_to_codes")
-        sweeps = []
+        real, sweeps = evaluation.minimal_edit_batch, []
 
         def recording_sweep(*args, **kwargs):
-            sweeps.append(edit_sweep(*args, **kwargs))
+            sweeps.append(real(*args, **kwargs))
             return sweeps[-1]
 
-        monkeypatch.setattr(evaluation, "edit_sweep", recording_sweep)
+        monkeypatch.setattr(evaluation, "minimal_edit_batch", recording_sweep)
         run_evaluation(model, probe, stacks, ds.backbone, ds.config, EvalConfig(num_eval=30))
         assert encoded == [len(stacks) * SMALL.num_codes]
-        steps = [r.steps_used for sw in sweeps for r in sw.results]
+        steps = [r.steps_used for results in sweeps for r in results]
         assert len(sweeps) == 2 * SMALL.num_attrs and 0 in steps and max(steps) > 0
         assert sum(decoded) == SMALL.num_codes * sum(steps)
         # a pair accepted at step 0 keeps its codes, so its oracle drift is exactly 0
-        unedited = [(st, r.stack) for sw in sweeps for st, r in zip(stacks, sw.results) if r.converged and r.steps_used == 0]
+        unedited = [(st, r.stack) for results in sweeps for st, r in zip(stacks, results) if r.converged and r.steps_used == 0]
         assert unedited
         stats = identity_drift(ds.backbone, [b for b, _ in unedited], [a for _, a in unedited], ds.config)
         assert stats.identity_mse == 0.0 and stats.nuisance_mse == 0.0
@@ -461,6 +463,20 @@ class TestSweepProcess:
 
         monkeypatch.setattr(evaluation, "minimal_edit_batch", failing_in_the_child)
         with pytest.raises(expected, match=message):
+            run_evaluation(model, probe, stacks, ds.backbone, ds.config, cfg)
+        assert multiprocessing.active_children() == []
+
+    def test_a_warning_in_the_sweep_process_surfaces_here(self, monkeypatch):
+        ds, model, probe, stacks, cfg = self.make_setup()
+        real, test_pid = evaluation.minimal_edit_batch, os.getpid()
+
+        def warning_in_the_child(*args, **kwargs):
+            if os.getpid() != test_pid:
+                warnings.warn("injected in the sweep", RuntimeWarning)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "minimal_edit_batch", warning_in_the_child)
+        with pytest.warns(RuntimeWarning, match="injected in the sweep"):
             run_evaluation(model, probe, stacks, ds.backbone, ds.config, cfg)
         assert multiprocessing.active_children() == []
 

@@ -468,6 +468,20 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpointError, match="coupling 1: scale_clamp must be a finite positive number"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epoch", "x"), ("epoch", -3), ("epoch", 1.0), ("epoch", True), ("final_loss", "x"), ("final_loss", float("nan")), ("final_loss", None)],
+    )
+    def test_epoch_and_final_loss_must_be_well_typed(self, tmp_path, field, value):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(self.make_checkpoint(), path)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        want = {"epoch": "an integer >= 0", "final_loss": "a finite number"}[field]
+        with pytest.raises(CorruptCheckpointError, match=f"checkpoint is malformed: {field} must be {want}, got"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("net, kind", [("scale_net", "weight"), ("shift_net", "bias")])
     @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
     def test_non_finite_parameter_names_its_coupling_net_and_layer(self, tmp_path, net, kind, value):
