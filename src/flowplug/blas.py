@@ -1,14 +1,15 @@
 """Who owns the box's CPUs: the thread count of the OpenBLAS that numpy runs
 on, set through stdlib ``ctypes`` with the thread-count calls of the
 scipy-openblas build that numpy wheels ship, the one rule that decides
-whether work is shared with a second, forked process, and the one helper
-that runs that process (``SecondProcess``)."""
+whether work is shared with a second, forked process, the one helper that
+runs that process (``SecondProcess``) and the memory it shares."""
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
 import functools
+import mmap
 import multiprocessing
 import os
 import signal
@@ -17,6 +18,8 @@ import time
 import warnings
 from collections.abc import Callable, Iterator
 from multiprocessing.connection import wait
+
+import numpy as np
 
 from .errors import FlowplugError, WorkerError
 
@@ -109,6 +112,12 @@ def balanced_halves(sizes: list[int]) -> list[int]:
         sides[i] = side = int(load[1] < load[0])
         load[side] += sizes[i]
     return sides
+
+
+def shared_zeros(n: int) -> np.ndarray:
+    """``n`` zeroed float64 entries in one anonymous shared mapping, which a
+    process forked later shares with this one."""
+    return np.frombuffer(mmap.mmap(-1, max(8 * n, 1)), np.float64, n)
 
 
 def _await(conn, *also) -> None:

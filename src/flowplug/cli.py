@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configio import dataclass_from_dict, dataclass_to_jsonable
+from .configio import dataclass_from_dict, dataclass_to_jsonable, is_integer, require_finite, require_integers
 from .editing import EditRequest, edit_attribute, minimal_edit_batch
 from .errors import ConfigError, FlowplugError
 from .evaluation import EvalConfig, evaluate_dataset, save_report, train_probe
@@ -50,6 +50,8 @@ class EditSpec:
     max_steps: int = 40
 
     def __post_init__(self):
+        require_integers(self, attr_index=0, max_steps=0)
+        require_finite(self, "target", "tau", "delta")
         if self.mode not in ("absolute", "step-search"):
             raise ConfigError(f"unknown edit mode {self.mode!r}")
         if self.direction not in (1, -1):
@@ -73,7 +75,9 @@ def resolve_run_config(data: dict, seed_override: int | None = None) -> RunConfi
     unknown = sorted(set(data) - _TOP_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key(s) {unknown}; expected {sorted(_TOP_KEYS)}")
-    seed = int(data.get("seed", 0)) if seed_override is None else seed_override
+    seed = data.get("seed", 0) if seed_override is None else seed_override
+    if not is_integer(seed):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     synthetic = dataclass_from_dict(SyntheticConfig, data.get("synthetic", {}), "synthetic")
 
     train_d = dict(data.get("train", {}))

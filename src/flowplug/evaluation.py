@@ -23,7 +23,7 @@ from .editing import EditResult, batch_latents, minimal_edit_batch
 from .errors import ConfigError, DatasetError, DimensionError, UndefinedResultError
 from .fileio import atomic_write
 from .flow import FlowModel, StyleStack
-from .numerics import AdamConfig, AdamOptimizer, Mlp, Tensor, init_mlp, parameter
+from .numerics import AdamConfig, AdamOptimizer, Mlp, flat_parameters, init_mlp
 from .numerics import backward  # noqa: F401 - unused; perfbench's tracer test reads evaluation.backward
 from .synthetic import MockBackbone, SyntheticConfig, SyntheticDataset, backbone_invert, split_factors
 
@@ -47,6 +47,8 @@ class ProbeConfig:
     input_mode: str = "mean_code"
 
     def __post_init__(self):
+        require_integers(self, epochs=None, batch_size=None, seed=0)
+        require_finite(self, "lr", "holdout_fraction")
         if self.input_mode not in ("mean_code", "flat"):
             raise ConfigError(f"unknown probe input_mode {self.input_mode!r}")
         if not 0.0 < self.holdout_fraction < 1.0:
@@ -132,22 +134,6 @@ def _probe_gradient(net: Mlp, x: np.ndarray, y: np.ndarray, out: list[np.ndarray
     net.backward(d * (2.0 / y.shape[0]), kept, out)
 
 
-def _flat_parameters(net: Mlp) -> tuple[Tensor, np.ndarray, list[np.ndarray]]:
-    """One parameter holding every entry of ``net``, whose arrays become
-    views of it in ``net.parameters()`` order, and a gradient vector of the
-    same layout with its views shaped like those arrays."""
-    params = net.parameters()
-    flat = parameter(np.concatenate([p.data.ravel() for p in params]))
-    grad = np.empty_like(flat.data)
-    views, start = [], 0
-    for p in params:
-        stop = start + p.data.size
-        p.data = flat.data[start:stop].reshape(p.data.shape)
-        views.append(grad[start:stop].reshape(p.data.shape))
-        start = stop
-    return flat, grad, views
-
-
 def train_probe(ds: SyntheticDataset, cfg: ProbeConfig) -> ProbeModel:
     """Fit the probe on raw codes + labels; deterministic given cfg.seed.
     Each batch writes its gradient into one flat vector, and one Adam step
@@ -179,7 +165,7 @@ def train_probe(ds: SyntheticDataset, cfg: ProbeConfig) -> ProbeModel:
     y_train = (labels[train_idx] - label_mean) / label_std
 
     net = init_mlp([x_train.shape[1], *cfg.hidden, labels.shape[1]], rng)
-    flat, grad, grad_views = _flat_parameters(net)
+    flat, grad, grad_views = flat_parameters(net.parameters())
     opt = AdamOptimizer([flat], AdamConfig(lr=cfg.lr))
     n_train = x_train.shape[0]
     for _ in range(cfg.epochs):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .configio import require_finite, require_integers
 from .errors import ConfigError, DimensionError, NumericError
-from .numerics import LEAKY_SLOPE, Mlp, Tensor, init_mlp
+from .numerics import LEAKY_SLOPE, Mlp, Tensor, flat_parameters, init_mlp
 from .numerics.autodiff import leaky_relu_array, leaky_relu_derivative
 from .prior import PriorConfig
 
@@ -80,6 +80,10 @@ class CouplingLayer:
 
 @dataclass
 class FlowModel:
+    """Every net array is a view of one flat parameter, ``flat``, in
+    ``parameters()`` order, and ``grad_views`` are the same views of one flat
+    gradient, ``grad``; a process forked later shares both vectors."""
+
     layers: list[CouplingLayer]
     code_dim: int
     num_codes: int
@@ -92,6 +96,7 @@ class FlowModel:
         parities = {layer.mask_parity for layer in self.layers}
         if parities != {0, 1}:
             raise ConfigError("mask parities must alternate so every coordinate is transformed")
+        self.flat, self.grad, self.grad_views = flat_parameters(self.parameters())
 
     def parameters(self) -> list[Tensor]:
         out: list[Tensor] = []

@@ -5,7 +5,6 @@ share an identity, combined with a configurable weight."""
 from __future__ import annotations
 
 import math
-import mmap
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import fsum
@@ -57,31 +56,19 @@ def contrastive_loss(s_vectors: np.ndarray, normalize: bool = False) -> float:
     return value
 
 
-def _shared_zeros(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Zeroed float64 arrays in one anonymous shared mapping, which a forked
-    child shares with its parent; each starts on a 64-byte boundary."""
-    offsets, size = [], 0
-    for shape in shapes:
-        offsets.append(size)
-        size += -(-8 * math.prod(shape) // 64) * 64
-    buf = mmap.mmap(-1, max(size, 1))
-    return [np.frombuffer(buf, np.float64, math.prod(shape), off).reshape(shape) for shape, off in zip(shapes, offsets)]
-
-
 class RowWorker(SecondProcess):
     """The second row half of every split batch of one model, and
     ``step_fn`` (the optimizer over its share of the parameters), as the ops
     of a ``blas.SecondProcess``: ``"forward"`` returns the half's state rows,
-    ``"backward"`` leaves its gradients in ``grads`` and ``"step"`` runs
-    ``step_fn`` on them. Only the intermediates of the latest forward are
-    kept, so a loss's backward comes before the next loss. Entering moves
-    the parameters and ``grads`` into one shared mapping before the fork, so
-    only rows cross the pipe; closing gives them private arrays again."""
+    ``"backward"`` writes its gradients into ``model.grad_views`` and
+    ``"step"`` runs ``step_fn``. Only the intermediates of the latest
+    forward are kept, so a loss's backward comes before the next loss. The
+    model's parameters and gradients are memory that a forked child shares,
+    so only rows cross the pipe."""
 
     def __init__(self, model: FlowModel, step_fn: Callable[[], None] | None = None):
         super().__init__("the training worker process")
         self.model, self._step_fn = model, step_fn
-        self.grads = [np.empty_like(p.data) for p in model.parameters()]
         self._cond = self._kept = None
 
     def serve(self, op: str, *args):
@@ -90,34 +77,10 @@ class RowWorker(SecondProcess):
             self._kept = [] if keep else None
             return packed_forward(self.model, rows, self._cond, self._kept)
         if op == "backward":
-            for out, g in zip(self.grads, packed_backward(self.model, args[0], self._cond, self._kept)):
+            for out, g in zip(self.model.grad_views, packed_backward(self.model, args[0], self._cond, self._kept)):
                 out[...] = g
         else:
-            # the optimizer reads the gradients that the loss left in ``grads``
-            for p, g in zip(self.model.parameters(), self.grads):
-                p.grad = g
             self._step_fn()
-
-    def __enter__(self) -> "RowWorker":
-        params = self.model.parameters()
-        shared = _shared_zeros([p.data.shape for p in params] * 2)
-        for p, data in zip(params, shared):
-            data[...] = p.data
-            p.data = data
-        self.grads = shared[len(params):]
-        super().__enter__()
-        if self.forked:  # the optimizer and its moments live on in the child alone
-            self._step_fn = None
-        return self
-
-    def __exit__(self, *exc) -> None:
-        try:
-            super().__exit__(*exc)
-        finally:
-            for p in self.model.parameters():
-                p.data = p.data.copy()
-                p.grad = None
-            self.grads = [np.empty_like(g) for g in self.grads]  # and the mapping goes
 
 
 def batch_loss_graph(
@@ -135,8 +98,8 @@ def batch_loss_graph(
     that is not entered, so after the first half on this thread), for the
     forward and again for the backward. The state is the halves
     concatenated, and each gradient is first half + second half, so results
-    do not depend on where the halves run. The gradients are always the
-    worker's ``grads``, which its optimizer reads, also for a one-stack
+    do not depend on where the halves run. The gradients are always
+    ``model.grad_views``, which the optimizers read, also for a one-stack
     batch."""
     if cfg.prior != model.prior:
         raise ConfigError("loss prior differs from the model's prior snapshot")
@@ -213,11 +176,11 @@ def batch_loss_graph(
         g_state[:, n] = -1.0 / num_stacks
         g_state *= g_out
         if num_stacks == 1:
-            for out, g in zip(worker.grads, packed_backward(model, g_state, cond, kept)):
+            for out, g in zip(model.grad_views, packed_backward(model, g_state, cond, kept)):
                 out[...] = g
-            return worker.grads
+            return model.grad_views
         worker.call("backward", g_state[cut:])
         first, _ = worker.alongside(lambda: packed_backward(model, g_state[:cut], cond[:cut], kept))
-        return [np.add(a, b, out=b) for a, b in zip(first, worker.grads)]
+        return [np.add(a, b, out=b) for a, b in zip(first, model.grad_views)]
 
     return ad.record(np.array(total), tuple(model.parameters()), grad_fn), Tensor(nll_mean), Tensor(contrast_mean)

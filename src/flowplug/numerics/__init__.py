@@ -10,7 +10,7 @@ from .autodiff import (
     parameter,
     zero_grads,
 )
-from .mlp import LEAKY_SLOPE, Mlp, init_mlp
+from .mlp import LEAKY_SLOPE, Mlp, flat_parameters, init_mlp
 
 __all__ = [
     "AdamConfig",
@@ -24,5 +24,6 @@ __all__ = [
     "zero_grads",
     "LEAKY_SLOPE",
     "Mlp",
+    "flat_parameters",
     "init_mlp",
 ]

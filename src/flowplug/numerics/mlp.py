@@ -1,5 +1,5 @@
 """Small dense multilayer perceptrons on plain arrays, with a hand-derived
-backward."""
+backward, and the flat layout of a model's parameters."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..blas import shared_zeros
 from ..errors import DimensionError, NumericError
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -78,6 +79,25 @@ class Mlp:
         return grads
 
 
+def flat_parameters(params: list[Tensor]) -> tuple[Tensor, np.ndarray, list[np.ndarray]]:
+    """One parameter holding every entry of ``params``, whose arrays become
+    views of it in order, and a gradient vector of the same layout with its
+    views shaped like those arrays. Both vectors are one ``shared_zeros``
+    mapping, so a process forked later reads and writes them too."""
+    n = sum(p.data.size for p in params)
+    shared = shared_zeros(2 * n)
+    flat, grad = Tensor(shared[:n], requires_grad=True), shared[n:]
+    views, start = [], 0
+    for p in params:
+        stop = start + p.data.size
+        data = flat.data[start:stop].reshape(p.data.shape)
+        data[...] = p.data
+        p.data = data
+        views.append(grad[start:stop].reshape(data.shape))
+        start = stop
+    return flat, grad, views
+
+
 def init_mlp(dims: list[int], rng: np.random.Generator, zero_final: bool = False) -> Mlp:
     """He-style init for hidden layers; final layer zeroed (identity start)
     or Gaussian with variance 1/fan_in."""
@@ -98,4 +118,4 @@ def init_mlp(dims: list[int], rng: np.random.Generator, zero_final: bool = False
     return Mlp(weights=weights, biases=biases)
 
 
-__all__ = ["Mlp", "init_mlp", "LEAKY_SLOPE"]
+__all__ = ["Mlp", "flat_parameters", "init_mlp", "LEAKY_SLOPE"]

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .configio import require_finite, require_integers
 from .errors import ConfigError, DimensionError
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -27,6 +28,8 @@ class PriorConfig:
     sigma: float = 0.5
 
     def __post_init__(self):
+        require_integers(self, num_attrs=None, latent_dim=None)
+        require_finite(self, "sigma")
         if not 0 < self.num_attrs < self.latent_dim:
             raise ConfigError(f"need 0 < num_attrs < latent_dim, got {self.num_attrs}, {self.latent_dim}")
         if not self.sigma > 0:

@@ -22,8 +22,9 @@ from .synthetic import SyntheticConfig, backbone_generate, backbone_invert, gene
 
 
 def _perturb(params, rng, scale=0.2):
+    """In place, so a flow's arrays stay views of its flat parameter."""
     for p in params:
-        p.data = p.data + scale * rng.normal(size=p.data.shape)
+        p.data += scale * rng.normal(size=p.data.shape)
 
 
 def check_gradients() -> None:

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import blas
 from .configio import dataclass_from_dict, dataclass_to_jsonable, is_finite, require_finite, require_integers
 from .errors import (
     CheckpointShapeError,
@@ -23,7 +22,7 @@ from .errors import (
 from .fileio import atomic_write
 from .flow import CouplingLayer, FlowConfig, FlowModel, StyleStack, build_flow
 from .losses import LossConfig, RowWorker, batch_loss_graph
-from .numerics import AdamConfig, AdamOptimizer, Mlp, backward, no_grad, parameter, zero_grads
+from .numerics import AdamConfig, AdamOptimizer, Mlp, Tensor, backward, no_grad, parameter, zero_grads
 from .numerics.adam import _check_finite
 from .prior import PriorConfig
 from .synthetic import SyntheticDataset, _derive_seeds, dataset_fingerprint
@@ -147,13 +146,12 @@ def _fit(
     # row -1: the identity-initialized model's dataset mean, the baseline
     # every later epoch is compared against
     trace: list[TraceRow] = [dataset_mean_loss(model, ds, cfg, worker)]
-    params = model.parameters()
     for epoch in range(cfg.epochs):
         batches = make_batches(ds, cfg, rng)
         sums = np.zeros(3)
         count = 0
         for bi, batch in enumerate(batches):
-            zero_grads(params)
+            zero_grads(model.parameters())
             try:
                 total, nll, contrast = batch_loss_graph(model, batch, cfg.loss, worker)
             except NumericError as exc:
@@ -163,7 +161,7 @@ def _fit(
             count += num_stacks
             try:
                 backward(total)
-                _check_finite([p.grad for p in params])
+                _check_finite([model.grad])
                 worker.call("step")
                 worker.alongside(opt.update)
             except NumericError as exc:
@@ -186,8 +184,8 @@ def _fit(
 def train(ds: SyntheticDataset, cfg: TrainConfig) -> tuple[Checkpoint, list[TraceRow]]:
     """Run Adam on the combined loss; deterministic given dataset + config,
     and the same whether or not the row worker, which takes the second row
-    half of every split batch and Adam over a size-balanced half of the
-    parameters, runs on a second process."""
+    half of every split batch and Adam over the second half of the flat
+    parameter, runs on a second process."""
     if cfg.loss.prior.latent_dim != ds.config.code_dim:
         raise ConfigError(
             f"prior latent_dim {cfg.loss.prior.latent_dim} != dataset code_dim {ds.config.code_dim}"
@@ -200,17 +198,16 @@ def train(ds: SyntheticDataset, cfg: TrainConfig) -> tuple[Checkpoint, list[Trac
     model = build_flow(cfg.loss.prior, ds.config.num_codes, cfg.flow, model_seed)
     adam = AdamConfig(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     rng = np.random.default_rng(batch_seed)
-    params = model.parameters()
-    sides = blas.balanced_halves([p.data.size for p in params])
-    mine = [p for p, s in zip(params, sides) if s == 0]
-    theirs = [p for p, s in zip(params, sides) if s == 1]
+    cut = model.flat.data.size // 2
+    mine, theirs = Tensor(model.flat.data[:cut], requires_grad=True), Tensor(model.flat.data[cut:], requires_grad=True)
+    mine.grad, theirs.grad = model.grad[:cut], model.grad[cut:]
 
-    with RowWorker(model, AdamOptimizer(theirs, adam).update) as worker:
+    with RowWorker(model, AdamOptimizer([theirs], adam).update) as worker:
         if worker.forked:
             log.info("training on two processes, each with BLAS on one thread")
         else:
             log.info("training on one process: both row halves in turn")
-        trace = _fit(model, ds, cfg, rng, AdamOptimizer(mine, adam), worker)
+        trace = _fit(model, ds, cfg, rng, AdamOptimizer([mine], adam), worker)
     ckpt = Checkpoint(
         model=model,
         train_config=cfg,

@@ -1,4 +1,5 @@
-"""Textbook reference implementations that tests compare the package against."""
+"""Textbook reference implementations that tests compare the package against,
+and the flat parameter layout they check."""
 
 import math
 
@@ -23,3 +24,14 @@ def adam_step(p, m, v, g, t, cfg):
     v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
     c1, c2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
     return p - cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps), m, v
+
+
+def flat_views_in_order(arrays, flat) -> bool:
+    """Whether ``arrays`` are C-contiguous views of consecutive segments of
+    the 1-D ``flat``, in order, that together cover all of it."""
+    start = 0
+    for a in arrays:
+        if not (a.flags.c_contiguous and np.shares_memory(a, flat) and a.ctypes.data == flat[start:].ctypes.data):
+            return False
+        start += a.size
+    return start == flat.size

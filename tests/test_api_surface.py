@@ -115,8 +115,8 @@ def test_no_definition_is_used_only_by_selftest():
 
 
 # the one second-process lifecycle (fork, pipe, SIGINT, join or kill) is
-# ``blas.SecondProcess``; the row worker's shared arrays may stay in losses.py
-PROCESS_IMPORTS = {"multiprocessing": {"blas.py"}, "signal": {"blas.py"}, "mmap": {"blas.py", "losses.py"}}
+# ``blas.SecondProcess``, and the one memory it shares is ``blas.shared_zeros``
+PROCESS_IMPORTS = {"multiprocessing": {"blas.py"}, "signal": {"blas.py"}, "mmap": {"blas.py"}}
 
 
 def test_only_blas_runs_a_second_process():

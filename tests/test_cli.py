@@ -369,27 +369,39 @@ class TestDispatch:
             assert len(procs) == i + 1 and procs[-1].exitcode == 0
 
     @pytest.mark.parametrize(
-        "train",
+        "config",
         [
-            {"lr": float("nan")},
-            {"beta1": float("inf")},
-            {"eps": float("nan")},
-            {"epochs": 2.5},
-            {"batch_groups": True},
-            {"seed": 1.0},
-            {"flow": {"num_couplings": 2.5}},
-            {"flow": {"hidden_width": True}},
-            {"flow": {"scale_clamp": float("nan")}},
-            {"loss": {"lambda_contrastive": float("nan")}},
+            {"train": {"lr": float("nan")}},
+            {"train": {"beta1": float("inf")}},
+            {"train": {"eps": float("nan")}},
+            {"train": {"epochs": 2.5}},
+            {"train": {"batch_groups": True}},
+            {"train": {"seed": 1.0}},
+            {"train": {"flow": {"num_couplings": 2.5}}},
+            {"train": {"flow": {"hidden_width": True}}},
+            {"train": {"flow": {"scale_clamp": float("nan")}}},
+            {"train": {"loss": {"lambda_contrastive": float("nan")}}},
+            {"train": {"loss": {"prior": {"num_attrs": 2.5}}}},
+            {"seed": 2.5},
+            {"seed": True},
+            {"seed": "x"},
+            {"eval": {"probe": {"epochs": 2.5}}},
+            {"eval": {"probe": {"seed": 1.5}}},
+            {"edit": {"max_steps": 2.5}},
+            {"edit": {"tau": float("nan")}},
         ],
-        ids=lambda t: "-".join(_leaf(t)[:-1]),
+        # a train case is named by its keys inside the section, any other
+        # by its keys and value
+        ids=lambda c: "-".join(_leaf(c)[1:-1]) if "train" in c else f"{'-'.join(_leaf(c)[:-1])}={_leaf(c)[-1]!r}",
     )
-    def test_invalid_train_config_reports_error(self, tmp_path, train, capsys):
+    def test_invalid_train_config_reports_error(self, tmp_path, config, capsys):
+        """``train`` checks every section of its config, before it reads
+        the dataset."""
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"train": train}))
+        bad.write_text(json.dumps(config))
         argv = ["train", "--config", str(bad), "--dataset", str(tmp_path / "ds.jsonl"), "--out", str(tmp_path / "t")]
         assert dispatch(argv) == 2
-        assert capsys.readouterr().err.startswith(f"error: {_leaf(train)[-2]} must be")
+        assert capsys.readouterr().err.startswith(f"error: {_leaf(config)[-2]} must be")
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("value", [True, 2.5])

@@ -41,6 +41,7 @@ from flowplug.synthetic import (
     backbone_generate,
     generate_dataset,
 )
+from oracles import flat_views_in_order
 
 
 def identity_backbone(cfg: SyntheticConfig) -> MockBackbone:
@@ -195,12 +196,7 @@ class TestProbe:
         assert len(steps) == 2 * 5  # 320 training rows in batches of 64
         flat = steps[0][0][0]
         assert all(params == [flat] for params, _ in steps)
-        assert flat.data.size == sum(p.data.size for p in probe.net.parameters())
-        start = 0
-        for p in probe.net.parameters():
-            assert np.shares_memory(p.data, flat.data)
-            assert np.array_equal(p.data.ravel(), flat.data[start : start + p.data.size])
-            start += p.data.size
+        assert flat_views_in_order([p.data for p in probe.net.parameters()], flat.data)
         # the last step moved the net it returned
         assert not np.array_equal(steps[-1][1][0], flat.data)
 

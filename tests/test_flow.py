@@ -2,6 +2,7 @@
 exact invertibility, and the change-of-variables log-determinant."""
 
 import copy
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,8 @@ from flowplug.flow import (
 )
 from flowplug.numerics import AdamOptimizer, Mlp, Tensor, finite_diff_gradient, init_mlp, parameter
 from flowplug.prior import PriorConfig
+from flowplug.training import load_checkpoint
+from oracles import flat_views_in_order
 
 
 def small_model(seed=0, num_couplings=4, latent_dim=6, num_codes=3, perturb=0.0):
@@ -198,6 +201,20 @@ class TestInvariants:
         prior = PriorConfig(num_attrs=2, latent_dim=6, sigma=0.5)
         with pytest.raises(ConfigError):
             build_flow(prior, 2, FlowConfig(num_couplings=1), seed=0)
+
+    @pytest.mark.parametrize("source", ["build_flow", "load_checkpoint"])
+    def test_net_arrays_are_views_of_the_flat_parameter_and_gradient(self, source):
+        """A built and a loaded model each lay out every net array as a view
+        of ``model.flat`` in ``parameters()`` order, and every gradient view
+        as the matching view of ``model.grad``."""
+        if source == "build_flow":
+            model = small_model()
+        else:
+            model = load_checkpoint(Path(__file__).parent / "data" / "checkpoint_v1_small.json").model
+        params = model.parameters()
+        assert flat_views_in_order([p.data for p in params], model.flat.data)
+        assert flat_views_in_order(model.grad_views, model.grad)
+        assert [g.shape for g in model.grad_views] == [p.data.shape for p in params]
 
     def test_stack_shape_validation(self):
         with pytest.raises(DimensionError):

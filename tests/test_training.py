@@ -123,8 +123,7 @@ class TestTrain:
 
         def poisoned_backward(total):
             real_backward(total)
-            p = models[0].layers[1].shift_net.weights[1]
-            p.grad = np.full_like(p.grad, np.nan)
+            models[0].layers[1].shift_net.weights[1].grad[...] = np.nan
 
         monkeypatch.setattr(training, "build_flow", build)
         monkeypatch.setattr(training, "backward", poisoned_backward)
