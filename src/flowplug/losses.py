@@ -68,7 +68,7 @@ class RowWorker(SecondProcess):
 
     def __init__(self, model: FlowModel, step_fn: Callable[[], None] | None = None):
         super().__init__("the training worker process")
-        self.model, self._step_fn = model, step_fn
+        self.model, self.step_fn = model, step_fn
         self._cond = self._kept = None
 
     def serve(self, op: str, *args):
@@ -80,7 +80,7 @@ class RowWorker(SecondProcess):
             for out, g in zip(self.model.grad_views, packed_backward(self.model, args[0], self._cond, self._kept)):
                 out[...] = g
         else:
-            self._step_fn()
+            self.step_fn()
 
 
 def batch_loss_graph(

@@ -9,10 +9,6 @@ import numpy as np
 from ..errors import NumericError
 from .autodiff import Tensor
 
-# entries per ``_update_in_place`` call, so that its temporaries stay in
-# cache; the fastest size measured on a flat parameter (BENCH_21.json)
-_CHUNK = 1 << 14
-
 
 @dataclass(frozen=True)
 class AdamConfig:
@@ -61,10 +57,8 @@ class AdamOptimizer:
 
     def __post_init__(self):
         self.t = 0
-        # np.zeros, unlike zeros_like, writes no page: the forked parent's
-        # copy of the row worker's optimizer never updates and costs no memory
-        self.m = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
-        self.v = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         """Check that every gradient is finite, then ``update``."""
@@ -73,17 +67,11 @@ class AdamOptimizer:
 
     def update(self) -> None:
         """One Adam step with no finiteness check, for a caller that has
-        checked the gradients itself; a missing gradient counts as zero. It
-        runs ``_CHUNK`` entries at a time, which changes no bit."""
+        checked the gradients itself; a missing gradient counts as zero."""
         self.t += 1
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not p.data.flags.c_contiguous:  # it has no flat view to chunk
-                _update_in_place(p.data, g, m, v, self.cfg, self.t)
-                continue
-            flat = [a.reshape(-1) for a in (p.data, g, m, v)]
-            for start in range(0, p.data.size, _CHUNK):
-                _update_in_place(*(a[start : start + _CHUNK] for a in flat), self.cfg, self.t)
+            _update_in_place(p.data, g, m, v, self.cfg, self.t)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -204,6 +204,7 @@ def train(ds: SyntheticDataset, cfg: TrainConfig) -> tuple[Checkpoint, list[Trac
 
     with RowWorker(model, AdamOptimizer([theirs], adam).update) as worker:
         if worker.forked:
+            worker.step_fn = None  # the optimizer and its moments live on in the child alone
             log.info("training on two processes, each with BLAS on one thread")
         else:
             log.info("training on one process: both row halves in turn")

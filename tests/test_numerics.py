@@ -16,7 +16,6 @@ from flowplug.numerics import (
     init_mlp,
     parameter,
 )
-from flowplug.numerics import adam as adam_module
 from flowplug.numerics import autodiff as ad
 from oracles import adam_step, flat_views_in_order
 
@@ -221,8 +220,6 @@ class TestAdam:
         rng = np.random.default_rng(9)
         cfg = AdamConfig(lr=0.01)
         params = [parameter(rng.normal(size=(3, 4))), parameter(rng.normal(size=5))]
-        # a transposed array has no flat view, so it is updated unchunked
-        params.append(Tensor(rng.normal(size=(4, 2)).T, requires_grad=True))
         opt = AdamOptimizer(params, cfg)
         buffers = [p.data for p in params]
         ref_p = [p.data.copy() for p in params]
@@ -241,23 +238,6 @@ class TestAdam:
             for ours, ref in zip(opt.m + opt.v, ref_m + ref_v):
                 assert np.array_equal(ours, ref)
         assert opt.t == 3
-
-    def test_chunked_update_equals_one_unchunked_update(self):
-        """``update`` runs ``_update_in_place`` ``_CHUNK`` entries at a time;
-        on a vector whose length is not a multiple of the chunk, the result
-        is one whole-vector ``_update_in_place``'s, bit for bit."""
-        rng = np.random.default_rng(12)
-        cfg = AdamConfig(lr=0.01)
-        n = 3 * adam_module._CHUNK + 17
-        p = parameter(rng.normal(size=n))
-        opt = AdamOptimizer([p], cfg)
-        ref_p, ref_m, ref_v = p.data.copy(), np.zeros(n), np.zeros(n)
-        for t in range(1, 4):
-            p.grad = rng.normal(size=n)
-            opt.update()
-            adam_module._update_in_place(ref_p, p.grad, ref_m, ref_v, cfg, t)
-            assert np.array_equal(p.data, ref_p)
-            assert np.array_equal(opt.m[0], ref_m) and np.array_equal(opt.v[0], ref_v)
 
     def test_optimizer_rejects_non_finite_gradient_before_any_update(self):
         params = [parameter(np.array([1.0, 2.0])), parameter(np.array([3.0]))]
